@@ -17,7 +17,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--baseline", action="store_true", help="use the exhaustive baseline miner")
     p.add_argument("--max-set-size", type=int, default=None, help="cap on attribute-set size")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for the miner")
     p.add_argument("--sweep", default=None, metavar="PARAM=START:END:STEP",
                    help="run once per value of gamma/min-size/sigma-min")
     p.add_argument("--out-records", default="records.tsv", help="records TSV path")
@@ -155,7 +154,6 @@ def _config_from_args(args) -> MinerConfig:
             max_set_size=args.max_set_size,
             expansion_budget=args.max_expansions,
             fail_fast=args.fail_fast,
-            threads=args.threads,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -166,31 +164,13 @@ def _with_value(cfg: MinerConfig, param: str, value) -> MinerConfig:
     try:
         if param == "gamma_min":
             qc = QuasiCliqueParams(gamma_min=value, min_size=qc.min_size)
-            return _clone(cfg, qc_params=qc)
+            return replace(cfg, qc_params=qc)
         if param == "min_size":
             qc = QuasiCliqueParams(gamma_min=qc.gamma_min, min_size=value)
-            return _clone(cfg, qc_params=qc)
-        return _clone(cfg, sigma_min=value)
+            return replace(cfg, qc_params=qc)
+        return replace(cfg, sigma_min=value)
     except ValueError as exc:
         raise UsageError(f"--sweep value {param}={value}: {exc}") from None
-
-
-def _clone(cfg: MinerConfig, **overrides) -> MinerConfig:
-    fields = dict(
-        qc_params=cfg.qc_params,
-        sigma_min=cfg.sigma_min,
-        eps_min=cfg.eps_min,
-        delta_min=cfg.delta_min,
-        k=cfg.k,
-        strategy=cfg.strategy,
-        null_model=cfg.null_model,
-        max_set_size=cfg.max_set_size,
-        expansion_budget=cfg.expansion_budget,
-        fail_fast=cfg.fail_fast,
-        threads=cfg.threads,
-    )
-    fields.update(overrides)
-    return MinerConfig(**fields)
 
 
 def _attr_label(g: AttributedGraph, attrs: tuple[int, ...]) -> str:
@@ -345,7 +325,6 @@ def make_manifest(args, timings: dict, warnings: dict) -> dict:
             "seed": args.seed,
             "baseline": args.baseline,
             "max_set_size": args.max_set_size,
-            "threads": args.threads,
             "sweep": args.sweep,
             "out_records": args.out_records,
             "out_patterns": args.out_patterns,
@@ -379,7 +358,6 @@ def manifest_to_argv(manifest: dict) -> list[str]:
         "--null-model", cfg["null_model"],
         "--samples", str(cfg["samples"]),
         "--seed", str(cfg["seed"]),
-        "--threads", str(cfg["threads"]),
         "--out-records", cfg["out_records"],
         "--out-patterns", cfg["out_patterns"],
         "--max-expansions", str(cfg["max_expansions"]),

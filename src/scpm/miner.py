@@ -1,31 +1,45 @@
 """Level-wise mining of attribute sets correlated with dense subgraphs.
 
-The main miner walks the attribute-set lattice depth-first by equivalence
-class: frontier entries are ordered by ascending support (ties by id) and
-each entry unions with its earlier siblings to form the next class. Three
-prunings keep it fast without changing the qualifying output:
+Both miners share one walk of the attribute-set lattice (``_Walk``),
+depth-first by equivalence class: frontier entries are ordered by ascending
+support (ties by id) and each entry unions with its earlier siblings to
+form the next class. The miners differ only in the policy that scores one
+attribute set and decides whether to extend it.
+
+The pruned miner keeps the qualifying output of the exhaustive one with
+three prunings:
 
 * each child's quasi-clique search is restricted to the intersection of its
   parents' coverage sets (no quasi-clique can leave them),
-* an attribute set is extended only while covered_count >= eps_min*sigma_min
-  and covered_count >= delta_min * eps_exp(sigma_min) * sigma_min, which no
-  superset can recover from once violated,
+* an attribute set is extended only while covered_count / sigma_min >=
+  eps_min and, under the analytical null model, normalized_delta(
+  covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
+  can recover from either once violated,
 * coverage-set computation and top-k extraction use the pruned engine.
 
-The exhaustive baseline visits every frequent attribute set, fully
+The exhaustive baseline extends every frequent attribute set, fully
 enumerates the quasi-cliques of each induced graph, and applies the same
-output filters, so both miners emit identical record and pattern sets.
+output filters, so both miners emit identical record and pattern sets. A
+set whose search overflows the expansion budget is neither recorded nor
+extended by either miner.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .graph import AttributedGraph, induced_view
 from .index import AttributeIndex, frequent_attributes, intersect_sorted, vertex_set
-from .nullmodel import ExpectedCorrelation, NullModel, NullModelConfig, normalized_delta
+from .nullmodel import (
+    ANALYTICAL,
+    ExpectedCorrelation,
+    NullModel,
+    NullModelConfig,
+    normalized_delta,
+)
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
     QuasiClique,
@@ -55,7 +69,6 @@ class MinerConfig:
     max_set_size: int | None = None
     expansion_budget: int = DEFAULT_EXPANSION_BUDGET
     fail_fast: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.sigma_min < 1:
@@ -68,8 +81,6 @@ class MinerConfig:
             raise ValueError("k must be at least 1 (or None for unlimited)")
         if self.max_set_size is not None and self.max_set_size < 1:
             raise ValueError("max_set_size must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -100,11 +111,6 @@ class MinerStats:
     expansions: int = 0
     overflow_sets: list[tuple[int, ...]] = field(default_factory=list)
 
-    def merge(self, other: "MinerStats"):
-        self.sets_visited += other.sets_visited
-        self.expansions += other.expansions
-        self.overflow_sets.extend(other.overflow_sets)
-
 
 @dataclass
 class MiningResult:
@@ -124,6 +130,12 @@ class _Entry:
     attrs: tuple[int, ...]
     posting: tuple[int, ...]
     covered: frozenset[int]
+
+
+def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
+    return NullModel(
+        g, cfg.qc_params, cfg.null_model, strategy=cfg.strategy, budget=cfg.expansion_budget
+    )
 
 
 def structural_correlation(
@@ -159,7 +171,7 @@ def structural_correlation(
     )
     eps = len(covered) / support
     if null is None:
-        null = NullModel(g, cfg.qc_params, cfg.null_model)
+        null = _null_model(g, cfg)
     eps_exp = null.expected(support)
     delta = normalized_delta(eps, eps_exp)
     return CorrelationRecord(
@@ -173,140 +185,120 @@ def structural_correlation(
 
 
 def prune_extension(
-    rec: CorrelationRecord, cfg: MinerConfig, eps_exp_at_sigma_min: ExpectedCorrelation
+    rec: CorrelationRecord,
+    cfg: MinerConfig,
+    eps_exp_at_sigma_min: ExpectedCorrelation | None = None,
 ) -> bool:
     """True when ``rec``'s attribute set may still have qualifying supersets.
 
-    Uses covered_count == eps * support exactly, so both tests are free of
-    rounding: covered_count >= eps_min * sigma_min and covered_count >=
-    delta_min * eps_exp(sigma_min) * sigma_min.
+    A superset with support s >= sigma_min covers at most covered_count of
+    this set's vertices, so its eps is at most covered_count / sigma_min.
+    Both tests divide exactly as eps is computed and compare as _qualifies
+    does; correctly rounded division is monotone, so no superset that would
+    qualify is cut off:
+
+    * covered_count / sigma_min >= eps_min, and
+    * when ``eps_exp_at_sigma_min`` is given, normalized delta of
+      covered_count / sigma_min against it >= delta_min. That bound holds
+      only if eps_exp does not decrease with support, which is true of the
+      analytical model and not of the simulation; pass None to gate on eps
+      alone.
     """
-    covered_count = len(rec.covered)
-    if covered_count < cfg.eps_min * cfg.sigma_min:
+    bound = len(rec.covered) / cfg.sigma_min
+    if bound < cfg.eps_min:
         return False
-    if covered_count < cfg.delta_min * eps_exp_at_sigma_min.value * cfg.sigma_min:
-        return False
-    return True
+    floor = eps_exp_at_sigma_min
+    if floor is None:
+        return True
+    if floor.value == 0.0:
+        delta = math.inf if bound > 0.0 else 0.0
+    else:
+        delta = bound / floor.value
+    return delta >= cfg.delta_min
 
 
 def _qualifies(rec: CorrelationRecord, cfg: MinerConfig) -> bool:
     return rec.eps >= cfg.eps_min and rec.delta >= cfg.delta_min
 
 
-def _patterns_for(
-    g: AttributedGraph,
-    rec: CorrelationRecord,
-    members: tuple[int, ...],
-    cfg: MinerConfig,
-    stats: SearchStats,
-) -> list[PatternRecord]:
-    view = induced_view(g, members)
-    cliques = top_k_patterns(
-        view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=stats
-    )
-    return [PatternRecord(rec.attribute_set, q) for q in cliques]
-
-
 def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(a) | set(b)))
 
 
-def _handle_overflow(s, cfg: MinerConfig, stats: MinerStats, exc: SearchBudgetExceeded):
-    stats.overflow_sets.append(tuple(s))
-    logger.warning("attribute set %s aborted: %s", s, exc)
-    if cfg.fail_fast:
-        raise exc
+class _Walk:
+    """One depth-first walk of the attribute-set lattice by equivalence class.
 
+    ``evaluate(attrs, posting, restriction, engine_stats)`` scores one set
+    and returns its record, its patterns (kept only if the record
+    qualifies) and whether to extend it. ``restriction`` is None for a
+    singleton, else the intersection of the two parents' coverage sets.
+    Records and patterns accumulate in discovery order. A set whose search
+    overflows the budget is logged and dropped with its subtree, unless
+    fail_fast re-raises.
+    """
 
-class _ScpmWorker:
-    """Evaluates one attribute set and recursively extends one class entry."""
-
-    def __init__(self, g, index, cfg, null, eps_exp_floor):
-        self.g = g
-        self.index = index
-        self.cfg = cfg
-        self.null = null
-        self.eps_exp_floor = eps_exp_floor
-
-    def evaluate(
+    def __init__(
         self,
-        attrs: tuple[int, ...],
-        posting: tuple[int, ...],
-        restriction: frozenset[int] | None,
-        records: list,
-        patterns: list,
-        stats: MinerStats,
-    ) -> _Entry | None:
-        """Record + patterns for one set; returns a frontier entry to extend."""
+        cfg: MinerConfig,
+        evaluate: Callable[..., tuple[CorrelationRecord, list[PatternRecord], bool]],
+    ):
+        self.cfg = cfg
+        self.evaluate = evaluate
+        self.records: list[CorrelationRecord] = []
+        self.patterns: list[PatternRecord] = []
+        self.stats = MinerStats()
+
+    def run(self, g: AttributedGraph, index: AttributeIndex) -> MiningResult:
+        """Visit the singletons, then extend each class depth-first."""
         cfg = self.cfg
+        if cfg.sigma_min <= g.vertex_count:
+            singles = frequent_attributes(index, cfg.sigma_min)
+            singles.sort(key=lambda e: (len(e[1]), e[0]))
+            frontier: list[_Entry] = []
+            for attrs, posting in singles:
+                self._visit(attrs, posting, None, frontier)
+            if cfg.max_set_size is None or cfg.max_set_size > 1:
+                for i in range(len(frontier)):
+                    self._extend(frontier, i)
+        return MiningResult(self.records, self.patterns, self.stats)
+
+    def _visit(self, attrs, posting, restriction, frontier: list[_Entry]):
+        """Score one set; append it to ``frontier`` if it is to be extended."""
+        stats = self.stats
         engine_stats = SearchStats()
         try:
-            rec = structural_correlation(
-                self.g,
-                self.index,
-                attrs,
-                cfg,
-                restriction,
-                posting=posting,
-                null=self.null,
-                stats=engine_stats,
-            )
-            if _qualifies(rec, cfg):
-                members = (
-                    posting
-                    if restriction is None
-                    else tuple(v for v in posting if v in restriction)
-                )
-                pats = _patterns_for(self.g, rec, members, cfg, engine_stats)
-            else:
-                pats = []
+            rec, pats, extend = self.evaluate(attrs, posting, restriction, engine_stats)
         except SearchBudgetExceeded as exc:
             stats.expansions += engine_stats.expansions
-            _handle_overflow(attrs, cfg, stats, exc)
-            return None
+            stats.overflow_sets.append(attrs)
+            logger.warning("attribute set %s aborted: %s", attrs, exc)
+            if self.cfg.fail_fast:
+                raise
+            return
         stats.expansions += engine_stats.expansions
         stats.sets_visited += 1
-        if _qualifies(rec, cfg):
-            records.append(rec)
-            patterns.extend(pats)
-        if prune_extension(rec, cfg, self.eps_exp_floor):
-            return _Entry(attrs, posting, frozenset(rec.covered))
-        return None
+        if _qualifies(rec, self.cfg):
+            self.records.append(rec)
+            self.patterns.extend(pats)
+        if extend:
+            frontier.append(_Entry(attrs, posting, frozenset(rec.covered)))
 
-    def extend(
-        self,
-        entries: list[_Entry],
-        i: int,
-        records: list,
-        patterns: list,
-        stats: MinerStats,
-    ):
+    def _extend(self, entries: list[_Entry], i: int):
         """Union entry i with every earlier sibling, then recurse per class."""
         cfg = self.cfg
         base = entries[i]
         children: list[_Entry] = []
-        for j in range(i):
-            other = entries[j]
+        for other in entries[:i]:
             attrs = _union_attrs(base.attrs, other.attrs)
             if cfg.max_set_size is not None and len(attrs) > cfg.max_set_size:
                 continue
             posting = intersect_sorted(base.posting, other.posting)
             if len(posting) < cfg.sigma_min:
                 continue
-            restriction = frozenset(base.covered & other.covered)
-            child = self.evaluate(attrs, posting, restriction, records, patterns, stats)
-            if child is not None:
-                children.append(child)
+            self._visit(attrs, posting, base.covered & other.covered, children)
         children.sort(key=lambda e: (len(e.posting), e.attrs))
         for ci in range(len(children)):
-            self.extend(children, ci, records, patterns, stats)
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+            self._extend(children, ci)
 
 
 def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> MiningResult:
@@ -315,109 +307,33 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     Emits one record per visited attribute set with sigma >= sigma_min that
     satisfies eps >= eps_min and delta >= delta_min, plus its top-k patterns,
     in depth-first discovery order. Sets failing the extension tests are
-    reported (when they qualify) but never extended. Overflowing induced
-    graphs abort only their own attribute set unless fail_fast is set.
+    reported (when they qualify) but never extended. A search that
+    overflows, on the set's view or on a simulation sample, drops that set
+    unreported and unextended unless fail_fast is set.
     """
-    stats = MinerStats()
-    if cfg.sigma_min > g.vertex_count:
-        return MiningResult([], [], stats)
-    null = NullModel(g, cfg.qc_params, cfg.null_model)
-    singles = frequent_attributes(index, cfg.sigma_min)
-    singles.sort(key=lambda e: (len(e[1]), e[0]))
-    if not singles:
-        return MiningResult([], [], stats)
-    eps_exp_floor = null.expected(cfg.sigma_min)
-    worker = _ScpmWorker(g, index, cfg, null, eps_exp_floor)
+    null = _null_model(g, cfg)
+    gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
-    def eval_single(entry):
-        attrs, posting = entry
-        records: list[CorrelationRecord] = []
-        patterns: list[PatternRecord] = []
-        local = MinerStats()
-        frontier_entry = worker.evaluate(attrs, posting, None, records, patterns, local)
-        return records, patterns, local, frontier_entry
-
-    level1 = _pmap(eval_single, singles, cfg.threads)
-    records: list[CorrelationRecord] = []
-    patterns: list[PatternRecord] = []
-    frontier: list[_Entry] = []
-    for recs, pats, local, entry in level1:
-        records.extend(recs)
-        patterns.extend(pats)
-        stats.merge(local)
-        if entry is not None:
-            frontier.append(entry)
-
-    def run_subtree(i):
-        recs: list[CorrelationRecord] = []
+    def evaluate(attrs, posting, restriction, engine_stats):
+        rec = structural_correlation(
+            g, index, attrs, cfg, restriction, posting=posting, null=null, stats=engine_stats
+        )
         pats: list[PatternRecord] = []
-        local = MinerStats()
-        worker.extend(frontier, i, recs, pats, local)
-        return recs, pats, local
-
-    if cfg.max_set_size is None or cfg.max_set_size > 1:
-        for recs, pats, local in _pmap(run_subtree, list(range(len(frontier))), cfg.threads):
-            records.extend(recs)
-            patterns.extend(pats)
-            stats.merge(local)
-    return MiningResult(records, patterns, stats)
-
-
-class _NaiveWorker:
-    """Exhaustive evaluation: full enumeration, no restriction, no extension gates."""
-
-    def __init__(self, g, index, cfg, null):
-        self.g = g
-        self.index = index
-        self.cfg = cfg
-        self.null = null
-
-    def evaluate(self, attrs, posting, records, patterns, stats) -> bool:
-        cfg = self.cfg
-        engine_stats = SearchStats()
-        try:
-            view = induced_view(self.g, posting)
-            cliques = enumerate_maximal(
-                view, cfg.qc_params, cfg.strategy, budget=cfg.expansion_budget, stats=engine_stats
-            )
-        except SearchBudgetExceeded as exc:
-            stats.expansions += engine_stats.expansions
-            _handle_overflow(attrs, cfg, stats, exc)
-            return False
-        stats.expansions += engine_stats.expansions
-        stats.sets_visited += 1
-        covered_set: set[int] = set()
-        for q in cliques:
-            covered_set.update(q.vertices)
-        covered = tuple(sorted(covered_set))
-        support = len(posting)
-        eps = len(covered) / support
-        eps_exp = self.null.expected(support)
-        delta = normalized_delta(eps, eps_exp)
-        rec = CorrelationRecord(tuple(attrs), support, covered, eps, eps_exp, delta)
         if _qualifies(rec, cfg):
-            records.append(rec)
-            top = cliques if cfg.k is None else cliques[: cfg.k]
-            patterns.extend(PatternRecord(rec.attribute_set, q) for q in top)
-        return True
+            members = (
+                posting
+                if restriction is None
+                else tuple(v for v in posting if v in restriction)
+            )
+            view = induced_view(g, members)
+            cliques = top_k_patterns(
+                view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=engine_stats
+            )
+            pats = [PatternRecord(attrs, q) for q in cliques]
+        floor = null.expected(cfg.sigma_min) if gate_delta else None
+        return rec, pats, prune_extension(rec, cfg, floor)
 
-    def extend(self, entries, i, records, patterns, stats):
-        cfg = self.cfg
-        base = entries[i]
-        children = []
-        for j in range(i):
-            other = entries[j]
-            attrs = _union_attrs(base[0], other[0])
-            if cfg.max_set_size is not None and len(attrs) > cfg.max_set_size:
-                continue
-            posting = intersect_sorted(base[1], other[1])
-            if len(posting) < cfg.sigma_min:
-                continue
-            self.evaluate(attrs, posting, records, patterns, stats)
-            children.append((attrs, posting))
-        children.sort(key=lambda e: (len(e[1]), e[0]))
-        for ci in range(len(children)):
-            self.extend(children, ci, records, patterns, stats)
+    return _Walk(cfg, evaluate).run(g, index)
 
 
 def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> MiningResult:
@@ -426,43 +342,19 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
     Semantically equivalent filtered output to run_scpm; intended for small
     inputs, cross-validation, and benchmark comparisons.
     """
-    stats = MinerStats()
-    if cfg.sigma_min > g.vertex_count:
-        return MiningResult([], [], stats)
-    null = NullModel(g, cfg.qc_params, cfg.null_model)
-    singles = frequent_attributes(index, cfg.sigma_min)
-    singles.sort(key=lambda e: (len(e[1]), e[0]))
-    if not singles:
-        return MiningResult([], [], stats)
-    worker = _NaiveWorker(g, index, cfg, null)
+    null = _null_model(g, cfg)
 
-    def eval_single(entry):
-        attrs, posting = entry
-        records: list[CorrelationRecord] = []
-        patterns: list[PatternRecord] = []
-        local = MinerStats()
-        worker.evaluate(attrs, posting, records, patterns, local)
-        return records, patterns, local
+    def evaluate(attrs, posting, restriction, engine_stats):
+        view = induced_view(g, posting)
+        cliques = enumerate_maximal(
+            view, cfg.qc_params, cfg.strategy, budget=cfg.expansion_budget, stats=engine_stats
+        )
+        covered = tuple(sorted({v for q in cliques for v in q.vertices}))
+        support = len(posting)
+        eps = len(covered) / support
+        eps_exp = null.expected(support)
+        rec = CorrelationRecord(attrs, support, covered, eps, eps_exp, normalized_delta(eps, eps_exp))
+        top = cliques if cfg.k is None else cliques[: cfg.k]
+        return rec, [PatternRecord(attrs, q) for q in top], True
 
-    records: list[CorrelationRecord] = []
-    patterns: list[PatternRecord] = []
-    for recs, pats, local in _pmap(eval_single, singles, cfg.threads):
-        records.extend(recs)
-        patterns.extend(pats)
-        stats.merge(local)
-
-    frontier = [(attrs, posting) for attrs, posting in singles]
-
-    def run_subtree(i):
-        recs: list[CorrelationRecord] = []
-        pats: list[PatternRecord] = []
-        local = MinerStats()
-        worker.extend(frontier, i, recs, pats, local)
-        return recs, pats, local
-
-    if cfg.max_set_size is None or cfg.max_set_size > 1:
-        for recs, pats, local in _pmap(run_subtree, list(range(len(frontier))), cfg.threads):
-            records.extend(recs)
-            patterns.extend(pats)
-            stats.merge(local)
-    return MiningResult(records, patterns, stats)
+    return _Walk(cfg, evaluate).run(g, index)

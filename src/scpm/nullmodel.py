@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 
 from .graph import AttributedGraph, DegreeHistogram, degree_distribution, induced_view
@@ -170,9 +169,10 @@ class NullModel:
     """Per-run provider of expected correlations, memoized by support.
 
     The expectation depends only on the support, the graph, and the
-    quasi-clique parameters, so one cache serves a whole mining run. Safe
-    for concurrent use; recomputation races are benign because every
-    computation of a given support yields the identical value.
+    quasi-clique parameters, so one cache serves a whole mining run. The
+    simulation searches its samples with the run's ``strategy`` and
+    expansion ``budget``; a sample that overflows raises
+    SearchBudgetExceeded and caches nothing.
     """
 
     def __init__(
@@ -181,21 +181,24 @@ class NullModel:
         params: QuasiCliqueParams,
         cfg: NullModelConfig,
         hist: DegreeHistogram | None = None,
+        *,
+        strategy: SearchStrategy = SearchStrategy.DFS,
+        budget: int = DEFAULT_EXPANSION_BUDGET,
     ):
         self._g = g
         self._params = params
         self._cfg = cfg
         self._hist = hist if hist is not None else degree_distribution(g)
+        self._strategy = strategy
+        self._budget = budget
         self._cache: dict[int, ExpectedCorrelation] = {}
-        self._lock = threading.Lock()
 
     @property
     def kind(self) -> str:
         return self._cfg.kind
 
     def expected(self, sigma: int) -> ExpectedCorrelation:
-        with self._lock:
-            hit = self._cache.get(sigma)
+        hit = self._cache.get(sigma)
         if hit is not None:
             return hit
         if self._g.vertex_count < 2:
@@ -204,7 +207,9 @@ class NullModel:
         elif self._cfg.kind == ANALYTICAL:
             value = max_eps_exp(self._hist, sigma, self._params, self._g.vertex_count)
         else:
-            value = sim_eps_exp(self._g, sigma, self._params, self._cfg)
-        with self._lock:
-            self._cache[sigma] = value
+            value = sim_eps_exp(
+                self._g, sigma, self._params, self._cfg,
+                strategy=self._strategy, budget=self._budget,
+            )
+        self._cache[sigma] = value
         return value

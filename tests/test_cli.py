@@ -247,15 +247,6 @@ class TestDotExport:
         assert dots[0].read_text().startswith("graph pattern {")
 
 
-class TestThreads:
-    def test_thread_count_does_not_change_bytes(self, tmp_path, example_paths):
-        run_cli(tmp_path, example_paths, "--threads", "1")
-        one = (tmp_path / "records.tsv").read_bytes(), (tmp_path / "patterns.tsv").read_bytes()
-        run_cli(tmp_path, example_paths, "--threads", "8")
-        eight = (tmp_path / "records.tsv").read_bytes(), (tmp_path / "patterns.tsv").read_bytes()
-        assert one == eight
-
-
 def test_sweep_with_invalid_value_is_usage_error(tmp_path, example_paths):
     assert run_cli(tmp_path, example_paths, "--sweep", "min-size=1:2:1") == 1
     assert run_cli(tmp_path, example_paths, "--sweep", "gamma=0.0:0.5:0.1") == 1

@@ -30,6 +30,19 @@ from oracles import random_attributed_graph
 P06_4 = QuasiCliqueParams(Fraction(3, 5), 4)
 
 
+def _graph(edges, attrs_of, n):
+    """Graph on vertices 0..n-1; attrs_of(v) lists the tokens of vertex v."""
+    attr_lines = [" ".join([str(v), *attrs_of(v)]) for v in range(n)]
+    return load_graph(iter(f"{u} {v}" for u, v in edges), iter(attr_lines))
+
+
+def _labels(g, records):
+    return [
+        "|".join(g.attribute_dictionary.token_for(a) for a in r.attribute_set)
+        for r in records
+    ]
+
+
 def reference_config(**overrides):
     base = dict(
         qc_params=P06_4,
@@ -123,6 +136,51 @@ class TestPruneExtension:
             )
             assert prune_extension(rec, cfg, floor) == expected
 
+    def test_eps_gate_exact_at_float_boundary(self):
+        # eps(A|B) = 7/25 == 0.28 exactly, but 0.28 * 25 rounds above 7: a
+        # product-form gate prunes A and B and loses A|B.
+        clique = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+        path = [(v, v + 1) for v in range(7, 59)]
+        g = _graph(
+            clique + path,
+            lambda v: ["A"] * (v <= 34) + ["B"] * (v <= 24 or 40 <= v <= 49),
+            60,
+        )
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1), 3), sigma_min=25, eps_min=0.28, k=5
+        )
+        fast = run_scpm(g, index, cfg)
+        assert _labels(g, fast.records) == ["A|B"]
+        assert len(fast.records[0].covered) == 7
+        assert fast.records == run_naive(g, index, cfg).records
+
+    def test_no_delta_gate_under_simulation(self):
+        # The simulated eps_exp drops from 1.0 at support 3 to 0 at support
+        # 4, so a delta gate at sigma_min would wrongly prune A and B.
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        a_set, b_set = {0, 1, 2, 4, 5}, {0, 1, 2, 4, 6}
+        g = _graph(
+            k4 + [(4, 5), (5, 6), (6, 7)],
+            lambda v: ["A"] * (v in a_set) + ["B"] * (v in b_set),
+            8,
+        )
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1), 3),
+            sigma_min=3,
+            eps_min=0.0,
+            delta_min=1.2,
+            k=1,
+            null_model=NullModelConfig(kind=SIMULATION, samples=1, seed=15),
+        )
+        null = NullModel(g, cfg.qc_params, cfg.null_model)
+        assert null.expected(3).value > null.expected(4).value
+        fast = run_scpm(g, index, cfg)
+        by_label = dict(zip(_labels(g, fast.records), fast.records))
+        assert by_label["A|B"].support == 4 and math.isinf(by_label["A|B"].delta)
+        assert fast.records == run_naive(g, index, cfg).records
+
 
 class TestRunScpm:
     def test_example11_reference_output(self, example_graph, example_index, example_ids):
@@ -170,25 +228,6 @@ class TestRunScpm:
         result = run_scpm(example_graph, example_index, reference_config(max_set_size=1))
         assert all(len(r.attribute_set) == 1 for r in result.records)
 
-    @pytest.mark.parametrize(
-        "null_cfg",
-        [
-            NullModelConfig(kind=ANALYTICAL),
-            NullModelConfig(kind=SIMULATION, samples=25, seed=13),
-        ],
-        ids=["analytical", "simulation"],
-    )
-    def test_threads_do_not_change_output(self, null_cfg):
-        rng = random.Random(300)
-        g = random_attributed_graph(rng, 25, 0.3, 6, attr_prob=0.5)
-        index = build_index(g)
-        cfg1 = reference_config(sigma_min=2, eps_min=0.0, k=3, threads=1, null_model=null_cfg)
-        cfg8 = reference_config(sigma_min=2, eps_min=0.0, k=3, threads=8, null_model=null_cfg)
-        r1 = run_scpm(g, index, cfg1)
-        r8 = run_scpm(g, index, cfg8)
-        assert r1.records == r8.records
-        assert r1.patterns == r8.patterns
-
     def test_coverage_anti_monotone_across_levels(self, example_graph, example_index, example_ids):
         cfg = reference_config()
         result = run_scpm(example_graph, example_index, cfg)
@@ -233,13 +272,16 @@ class TestOracleEquivalence:
         for trial in range(15):
             g = random_attributed_graph(rng, rng.randint(10, 26), rng.choice([0.2, 0.4]), 5)
             index = build_index(g)
+            params = QuasiCliqueParams(
+                rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(1)]),
+                rng.choice([3, 4]),
+            )
+            sigma_min = rng.randint(1, 4)
+            boundary = rng.randint(1, sigma_min) / sigma_min
             cfg = MinerConfig(
-                qc_params=QuasiCliqueParams(
-                    rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(1)]),
-                    rng.choice([3, 4]),
-                ),
-                sigma_min=rng.randint(1, 4),
-                eps_min=rng.choice([0.0, 0.3]),
+                qc_params=params,
+                sigma_min=sigma_min,
+                eps_min=rng.choice([0.0, 0.3, boundary]),
                 delta_min=rng.choice([0.0, 0.5]),
                 k=None,
                 strategy=strategy,
@@ -254,23 +296,25 @@ class TestOracleEquivalence:
             assert sorted(fast.patterns, key=key) == sorted(slow.patterns, key=key)
 
     def test_matches_naive_with_simulation_model(self):
-        # Same seed makes both miners see identical expectation values.
+        # Same seed makes both miners see identical expectation values;
+        # eps_min = c / sigma_min sits exactly on a covered-count boundary.
         rng = random.Random(77)
         g = random_attributed_graph(rng, 18, 0.3, 4)
         index = build_index(g)
-        cfg = MinerConfig(
-            qc_params=P06_4,
-            sigma_min=2,
-            eps_min=0.0,
-            delta_min=0.0,
-            k=None,
-            null_model=NullModelConfig(kind=SIMULATION, samples=30, seed=11),
-        )
-        fast = run_scpm(g, index, cfg)
-        slow = run_naive(g, index, cfg)
-        assert sorted(fast.records, key=lambda r: r.attribute_set) == sorted(
-            slow.records, key=lambda r: r.attribute_set
-        )
+        for eps_min in (0.0, 1 / 2, 2 / 2):
+            cfg = MinerConfig(
+                qc_params=P06_4,
+                sigma_min=2,
+                eps_min=eps_min,
+                delta_min=0.0,
+                k=None,
+                null_model=NullModelConfig(kind=SIMULATION, samples=30, seed=11),
+            )
+            fast = run_scpm(g, index, cfg)
+            slow = run_naive(g, index, cfg)
+            assert sorted(fast.records, key=lambda r: r.attribute_set) == sorted(
+                slow.records, key=lambda r: r.attribute_set
+            )
 
 
 class TestRunNaive:
@@ -320,6 +364,44 @@ class TestOverflowHandling:
         with pytest.raises(SearchBudgetExceeded):
             run_scpm(g, index, cfg)
 
+    def test_miners_agree_under_overflow(self):
+        # The 16-cycle tagged a overflows in both miners; the triangle tagged
+        # a and b does not. Neither miner may extend a, so a|b goes unvisited.
+        cycle = [(v, (v + 1) % 16) for v in range(16)]
+        g = _graph(cycle + [(16, 17), (17, 18), (16, 18)], lambda v: ["a"] + ["b"] * (v >= 16), 19)
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1, 2), 3),
+            sigma_min=1,
+            eps_min=0.0,
+            expansion_budget=3,
+        )
+        fast = run_scpm(g, index, cfg)
+        slow = run_naive(g, index, cfg)
+        a = g.attribute_dictionary.id_for("a")
+        assert fast.stats.overflow_sets == slow.stats.overflow_sets == [(a,)]
+        assert _labels(g, fast.records) == ["b"]
+        assert fast.records == slow.records
+
+    @pytest.mark.parametrize("mine", [run_scpm, run_naive], ids=["scpm", "naive"])
+    def test_simulation_samples_use_run_budget(self, mine):
+        # The even vertices of a 16-cycle induce no edge, so their own view
+        # costs no expansion; random samples hold paths that exceed budget 3.
+        cycle = [(v, (v + 1) % 16) for v in range(16)]
+        g = _graph(cycle, lambda v: ["even"] * (v % 2 == 0), 16)
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1, 2), 3),
+            sigma_min=1,
+            eps_min=0.0,
+            k=1,
+            expansion_budget=3,
+            null_model=NullModelConfig(kind=SIMULATION, samples=5, seed=0),
+        )
+        result = mine(g, index, cfg)
+        assert result.stats.overflow_sets == [(g.attribute_dictionary.id_for("even"),)]
+        assert result.records == []
+
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):
@@ -331,8 +413,6 @@ class TestConfigValidation:
             MinerConfig(qc_params=P06_4, delta_min=-1)
         with pytest.raises(ValueError):
             MinerConfig(qc_params=P06_4, k=0)
-        with pytest.raises(ValueError):
-            MinerConfig(qc_params=P06_4, threads=0)
 
     def test_result_unpacks_as_pair(self, example_graph, example_index):
         records, patterns = run_scpm(example_graph, example_index, reference_config())
