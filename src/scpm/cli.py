@@ -418,6 +418,7 @@ def _run(args) -> int:
         record_blocks = []
         pattern_blocks = []
         overflow = 0
+        expansions = 0
         last_result = None
         for value in values:
             result = mine(g, index, _with_value(cfg, param, value))
@@ -425,9 +426,9 @@ def _run(args) -> int:
             record_blocks.append((label, result.records))
             pattern_blocks.append((label, result.patterns))
             overflow += len(result.stats.overflow_sets)
+            expansions += result.stats.expansions
             last_result = result
         result_for_dot = last_result
-        expansions = None
     else:
         result = mine(g, index, cfg)
         record_blocks = [(None, result.records)]
@@ -456,10 +457,9 @@ def _run(args) -> int:
 
     n_records = sum(len(b) for _, b in record_blocks)
     n_patterns = sum(len(b) for _, b in pattern_blocks)
-    note = f", expansions={expansions}" if expansions is not None else ""
     print(
         f"scpm: {n_records} record(s), {n_patterns} pattern(s) "
-        f"in {timings['mine_s']:.2f}s{note}",
+        f"in {timings['mine_s']:.2f}s, expansions={expansions}",
         file=sys.stderr,
     )
     return 0

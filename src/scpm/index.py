@@ -27,9 +27,6 @@ class AttributeIndex:
 
     posting: dict[int, PostingList]
 
-    def support(self, attr_id: int) -> int:
-        return len(self.posting.get(attr_id, ()))
-
 
 def build_index(g: AttributedGraph) -> AttributeIndex:
     """Invert the per-vertex attribute sets into sorted posting lists."""

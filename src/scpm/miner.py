@@ -6,6 +6,14 @@ support (ties by id) and each entry unions with its earlier siblings to
 form the next class. The miners differ only in the policy that scores one
 attribute set and decides whether to extend it.
 
+Support is counted before any posting list is merged. Each frontier entry
+also carries its posting as an int bitset (bit v set for vertex v), built
+when a frequent singleton joins the frontier and handed down as the AND of
+the two parents' bitsets. A candidate whose AND has fewer than sigma_min
+bits is skipped without merging its parents' sorted posting lists or
+forming its attribute set; only candidates that pass are merged into the
+sorted posting the rest of the pipeline reads.
+
 The pruned miner keeps the qualifying output of the exhaustive one with
 three prunings:
 
@@ -125,11 +133,23 @@ class MiningResult:
 
 @dataclass
 class _Entry:
-    """Frontier entry: attribute set, its posting list, and its coverage set."""
+    """Frontier entry: attribute set, its posting list and the same vertices
+    as an int bitset, and its coverage set."""
 
     attrs: tuple[int, ...]
     posting: tuple[int, ...]
+    mask: int
     covered: frozenset[int]
+
+
+def _bitset(posting: tuple[int, ...]) -> int:
+    """The int with bit v set for every vertex v of a sorted posting list."""
+    if not posting:
+        return 0
+    buf = bytearray(posting[-1] // 8 + 1)
+    for v in posting:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
@@ -172,7 +192,7 @@ def structural_correlation(
     eps = len(covered) / support
     if null is None:
         null = _null_model(g, cfg)
-    eps_exp = null.expected(support)
+    eps_exp = null.expected(support, stats=stats)
     delta = normalized_delta(eps, eps_exp)
     return CorrelationRecord(
         attribute_set=s,
@@ -256,14 +276,18 @@ class _Walk:
             singles.sort(key=lambda e: (len(e[1]), e[0]))
             frontier: list[_Entry] = []
             for attrs, posting in singles:
-                self._visit(attrs, posting, None, frontier)
+                self._visit(attrs, posting, None, None, frontier)
             if cfg.max_set_size is None or cfg.max_set_size > 1:
                 for i in range(len(frontier)):
                     self._extend(frontier, i)
         return MiningResult(self.records, self.patterns, self.stats)
 
-    def _visit(self, attrs, posting, restriction, frontier: list[_Entry]):
-        """Score one set; append it to ``frontier`` if it is to be extended."""
+    def _visit(self, attrs, posting, mask, restriction, frontier: list[_Entry]):
+        """Score one set; append it to ``frontier`` if it is to be extended.
+
+        ``mask`` is the posting's bitset, or None for a singleton, whose
+        bitset is built only once it joins the frontier.
+        """
         stats = self.stats
         engine_stats = SearchStats()
         try:
@@ -281,21 +305,28 @@ class _Walk:
             self.records.append(rec)
             self.patterns.extend(pats)
         if extend:
-            frontier.append(_Entry(attrs, posting, frozenset(rec.covered)))
+            if mask is None:
+                mask = _bitset(posting)
+            frontier.append(_Entry(attrs, posting, mask, frozenset(rec.covered)))
 
     def _extend(self, entries: list[_Entry], i: int):
-        """Union entry i with every earlier sibling, then recurse per class."""
+        """Union entry i with every earlier sibling, then recurse per class.
+
+        The bitset AND decides support first; the sorted posting lists are
+        merged only for a candidate that reaches sigma_min.
+        """
         cfg = self.cfg
         base = entries[i]
         children: list[_Entry] = []
         for other in entries[:i]:
+            mask = base.mask & other.mask
+            if mask.bit_count() < cfg.sigma_min:
+                continue
             attrs = _union_attrs(base.attrs, other.attrs)
             if cfg.max_set_size is not None and len(attrs) > cfg.max_set_size:
                 continue
             posting = intersect_sorted(base.posting, other.posting)
-            if len(posting) < cfg.sigma_min:
-                continue
-            self._visit(attrs, posting, base.covered & other.covered, children)
+            self._visit(attrs, posting, mask, base.covered & other.covered, children)
         children.sort(key=lambda e: (len(e.posting), e.attrs))
         for ci in range(len(children)):
             self._extend(children, ci)
@@ -352,7 +383,7 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
         covered = tuple(sorted({v for q in cliques for v in q.vertices}))
         support = len(posting)
         eps = len(covered) / support
-        eps_exp = null.expected(support)
+        eps_exp = null.expected(support, stats=engine_stats)
         rec = CorrelationRecord(attrs, support, covered, eps, eps_exp, normalized_delta(eps, eps_exp))
         top = cliques if cfg.k is None else cliques[: cfg.k]
         return rec, [PatternRecord(attrs, q) for q in top], True

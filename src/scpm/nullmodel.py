@@ -22,6 +22,8 @@ from .graph import AttributedGraph, DegreeHistogram, degree_distribution, induce
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
     QuasiCliqueParams,
+    SearchBudgetExceeded,
+    SearchStats,
     SearchStrategy,
     covered_vertices,
 )
@@ -123,12 +125,15 @@ def sim_eps_exp(
     *,
     strategy: SearchStrategy = SearchStrategy.DFS,
     budget: int = DEFAULT_EXPANSION_BUDGET,
+    stats: SearchStats | None = None,
 ) -> ExpectedCorrelation:
     """Monte-Carlo estimate: mean covered fraction over r uniform samples.
 
     Each trial draws sigma vertices without replacement from its own seeded
     stream, so results are bit-for-bit reproducible and independent of
-    evaluation order. Also reports the sample standard deviation.
+    evaluation order. Also reports the sample standard deviation. The
+    expansions of every sample search, including one that overflows, are
+    added to ``stats``.
     """
     if cfg.kind != SIMULATION:
         raise ValueError("sim_eps_exp requires a simulation-kind config")
@@ -143,7 +148,7 @@ def sim_eps_exp(
         frac = fractions_seen.get(members)
         if frac is None:
             view = induced_view(g, members)
-            covered = covered_vertices(view, params, strategy, budget=budget)
+            covered = covered_vertices(view, params, strategy, budget=budget, stats=stats)
             frac = len(covered) / sigma
             fractions_seen[members] = frac
         values.append(frac)
@@ -172,7 +177,9 @@ class NullModel:
     quasi-clique parameters, so one cache serves a whole mining run. The
     simulation searches its samples with the run's ``strategy`` and
     expansion ``budget``; a sample that overflows raises
-    SearchBudgetExceeded and caches nothing.
+    SearchBudgetExceeded, and every later request for that support raises
+    it again without searching, since the same samples would overflow the
+    same budget.
     """
 
     def __init__(
@@ -192,24 +199,35 @@ class NullModel:
         self._strategy = strategy
         self._budget = budget
         self._cache: dict[int, ExpectedCorrelation] = {}
+        # Support -> message of the overflow its simulation raised.
+        self._overflowed: dict[int, str] = {}
 
     @property
     def kind(self) -> str:
         return self._cfg.kind
 
-    def expected(self, sigma: int) -> ExpectedCorrelation:
+    def expected(self, sigma: int, *, stats: SearchStats | None = None) -> ExpectedCorrelation:
+        """Expected correlation at support ``sigma``; sample-search
+        expansions are added to ``stats``."""
         hit = self._cache.get(sigma)
         if hit is not None:
             return hit
+        overflow = self._overflowed.get(sigma)
+        if overflow is not None:
+            raise SearchBudgetExceeded(overflow)
         if self._g.vertex_count < 2:
             # No sample of a sub-2-vertex graph can reach any degree floor.
             value = ExpectedCorrelation(value=0.0, kind=self._cfg.kind)
         elif self._cfg.kind == ANALYTICAL:
             value = max_eps_exp(self._hist, sigma, self._params, self._g.vertex_count)
         else:
-            value = sim_eps_exp(
-                self._g, sigma, self._params, self._cfg,
-                strategy=self._strategy, budget=self._budget,
-            )
+            try:
+                value = sim_eps_exp(
+                    self._g, sigma, self._params, self._cfg,
+                    strategy=self._strategy, budget=self._budget, stats=stats,
+                )
+            except SearchBudgetExceeded as exc:
+                self._overflowed[sigma] = str(exc)
+                raise
         self._cache[sigma] = value
         return value

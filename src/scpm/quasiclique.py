@@ -563,6 +563,7 @@ def top_k_patterns(
     Depth-first with a dynamic size floor. If the floor could have clipped a
     pattern tying the final k-th size, the exhaustive enumeration is used
     instead, so the result always equals the first k of enumerate_maximal.
+    Both passes together stay within ``budget`` expansions.
     """
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
@@ -578,7 +579,10 @@ def top_k_patterns(
     result = cliques[:k]
     safe = lost_bound == 0 or (len(result) >= k and result[-1].size > lost_bound)
     if not safe:
-        full = enumerate_maximal(view, params, SearchStrategy.DFS, budget=budget, stats=stats)
+        # The fallback spends what the first pass left of the view's budget.
+        full = enumerate_maximal(
+            view, params, SearchStrategy.DFS, budget=budget - search.expansions, stats=stats
+        )
         return full[:k]
     if stats is not None:
         stats.emitted += len(result)

@@ -207,6 +207,18 @@ class TestSweep:
                     block_lines.append(line)
             assert parse_records("\n".join(block_lines)) == single
 
+    def test_sweep_reports_summed_expansions(self, tmp_path, example_paths, capsys):
+        def expansions():
+            line = capsys.readouterr().err.strip().splitlines()[-1]
+            return int(line.rpartition("expansions=")[2])
+
+        singles = []
+        for value in (3, 4, 5):
+            run_cli(tmp_path, example_paths, "--min-size", str(value))
+            singles.append(expansions())
+        run_cli(tmp_path, example_paths, "--sweep", "min-size=3:5:1")
+        assert expansions() == sum(singles) > 0
+
     def test_bad_sweep_is_usage_error(self, tmp_path, example_paths):
         assert run_cli(tmp_path, example_paths, "--sweep", "bogus=1:2:1") == 1
         assert run_cli(tmp_path, example_paths, "--sweep", "gamma=0.9:0.3:0.1") == 1

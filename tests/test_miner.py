@@ -17,6 +17,7 @@ from scpm import (
     SearchBudgetExceeded,
     SearchStrategy,
     build_index,
+    frequent_attributes,
     load_graph,
     prune_extension,
     run_naive,
@@ -26,6 +27,7 @@ from scpm import (
 )
 
 from oracles import random_attributed_graph
+from synth import planted_instance_lines
 
 P06_4 = QuasiCliqueParams(Fraction(3, 5), 4)
 
@@ -401,6 +403,85 @@ class TestOverflowHandling:
         result = mine(g, index, cfg)
         assert result.stats.overflow_sets == [(g.attribute_dictionary.id_for("even"),)]
         assert result.records == []
+        # The sample searches that ran until they overflowed are counted.
+        assert result.stats.expansions > 0
+
+    @pytest.mark.parametrize("mine", [run_scpm, run_naive], ids=["scpm", "naive"])
+    def test_overflowed_support_is_not_simulated_again(self, mine, monkeypatch):
+        # even and odd both have support 8 and induce no edge. The samples
+        # drawn for support 8 overflow budget 3 while scoring the first of
+        # them; the second fails from the remembered overflow.
+        import scpm.nullmodel
+
+        cycle = [(v, (v + 1) % 16) for v in range(16)]
+        g = _graph(cycle, lambda v: ["odd" if v % 2 else "even"], 16)
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1, 2), 3),
+            sigma_min=1,
+            eps_min=0.0,
+            k=1,
+            expansion_budget=3,
+            null_model=NullModelConfig(kind=SIMULATION, samples=5, seed=0),
+        )
+        simulated = []
+        real = scpm.nullmodel.sim_eps_exp
+
+        def counting(graph, sigma, *args, **kwargs):
+            simulated.append(sigma)
+            return real(graph, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(scpm.nullmodel, "sim_eps_exp", counting)
+        result = mine(g, index, cfg)
+        ids = g.attribute_dictionary.id_for
+        assert simulated == [8]
+        assert sorted(result.stats.overflow_sets) == [(ids("even"),), (ids("odd"),)]
+        assert result.records == []
+
+
+@pytest.fixture(scope="module")
+def planted_2000():
+    g = load_graph(*(iter(lines) for lines in planted_instance_lines()))
+    return g, build_index(g)
+
+
+class TestSupportGate:
+    """Posting lists are merged only for candidates whose bitset support
+    reaches sigma_min, once per set scored, and both miners still agree."""
+
+    @pytest.mark.parametrize("instance", ["example11", "planted2000"])
+    def test_merges_only_frequent_candidates(self, instance, request, monkeypatch):
+        import scpm.miner
+
+        if instance == "example11":
+            g, index = request.getfixturevalue("example_graph"), request.getfixturevalue("example_index")
+            cfg = reference_config()
+        else:
+            g, index = request.getfixturevalue("planted_2000")
+            cfg = reference_config(sigma_min=100, eps_min=0.1, k=5)
+        merged = []
+        real = scpm.miner.intersect_sorted
+
+        def counting(a, b):
+            out = real(a, b)
+            merged.append(len(out))
+            return out
+
+        monkeypatch.setattr(scpm.miner, "intersect_sorted", counting)
+        singles = len(frequent_attributes(index, cfg.sigma_min))
+        results = []
+        for mine in (run_scpm, run_naive):
+            merged.clear()
+            result = mine(g, index, cfg)
+            stats = result.stats
+            assert merged and min(merged) >= cfg.sigma_min
+            assert len(merged) == stats.sets_visited + len(stats.overflow_sets) - singles
+            results.append(result)
+        fast, slow = results
+        by_set = lambda r: r.attribute_set
+        assert sorted(fast.records, key=by_set) == sorted(slow.records, key=by_set)
+        key = lambda p: (p.attribute_set, p.quasi_clique.vertices)
+        assert sorted(fast.patterns, key=key) == sorted(slow.patterns, key=key)
 
 
 class TestConfigValidation:

@@ -254,6 +254,29 @@ class TestBudget:
         with pytest.raises(SearchBudgetExceeded):
             enumerate_maximal(view, params, budget=2)
 
+    def test_top_k_fallback_gets_only_the_remaining_budget(
+        self, monkeypatch, example_graph, example_index, example_ids
+    ):
+        # The first pass and the exhaustive fallback each fit the budget on
+        # their own but not together, so forcing the fallback must overflow.
+        import scpm.quasiclique as qc
+
+        view = view_for_attr(example_graph, example_index, (example_ids.A,))
+        first, full = SearchStats(), SearchStats()
+        top_k_patterns(view, P06_4, 2, stats=first)
+        expected = enumerate_maximal(view, P06_4, stats=full)[:2]
+        real_top_k = qc._ViewSearch.top_k
+
+        def unsafe_top_k(self, k):
+            masks, _lost = real_top_k(self, k)
+            return masks, 99
+
+        monkeypatch.setattr(qc._ViewSearch, "top_k", unsafe_top_k)
+        with pytest.raises(SearchBudgetExceeded):
+            top_k_patterns(view, P06_4, 2, budget=max(first.expansions, full.expansions))
+        both = first.expansions + full.expansions
+        assert top_k_patterns(view, P06_4, 2, budget=both) == expected
+
     def test_stats_accumulate(self, example_graph, example_index, example_ids):
         view = view_for_attr(example_graph, example_index, (example_ids.A,))
         stats = SearchStats()
