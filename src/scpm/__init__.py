@@ -30,7 +30,6 @@ from .quasiclique import (
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
-    SearchStrategy,
     covered_vertices,
     enumerate_maximal,
     is_gamma_dense,

@@ -26,12 +26,7 @@ from .graph import AttributedGraph, GraphFormatError, GraphView, induced_view, l
 from .index import build_index, vertex_set
 from .miner import MinerConfig, MiningResult, PatternRecord, run_naive, run_scpm
 from .nullmodel import ANALYTICAL, SIMULATION, NullModelConfig
-from .quasiclique import (
-    DEFAULT_EXPANSION_BUDGET,
-    QuasiCliqueParams,
-    SearchBudgetExceeded,
-    SearchStrategy,
-)
+from .quasiclique import DEFAULT_EXPANSION_BUDGET, QuasiCliqueParams, SearchBudgetExceeded
 
 RECORDS_HEADER = "# attribute_set\tsupport\teps\teps_exp\tdelta\tcovered_count"
 PATTERNS_HEADER = "# attribute_set\tsize\tdensity\tvertices"
@@ -69,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-min", type=float, default=0.0, help="minimum structural correlation")
     p.add_argument("--delta-min", type=float, default=0.0, help="minimum normalized correlation")
     p.add_argument("--top-k", default="5", help="patterns per attribute set: a count or 'all'")
-    p.add_argument("--strategy", choices=["bfs", "dfs"], default="dfs", help="coverage search order")
     p.add_argument(
         "--null-model", choices=[ANALYTICAL, SIMULATION], default=ANALYTICAL,
         help="expected-correlation model",
@@ -149,7 +143,6 @@ def _config_from_args(args) -> MinerConfig:
             eps_min=args.eps_min,
             delta_min=args.delta_min,
             k=_parse_top_k(args.top_k),
-            strategy=SearchStrategy(args.strategy),
             null_model=null_cfg,
             max_set_size=args.max_set_size,
             expansion_budget=args.max_expansions,
@@ -319,7 +312,6 @@ def make_manifest(args, timings: dict, warnings: dict) -> dict:
             "eps_min": args.eps_min,
             "delta_min": args.delta_min,
             "top_k": args.top_k,
-            "strategy": args.strategy,
             "null_model": args.null_model,
             "samples": args.samples,
             "seed": args.seed,
@@ -354,7 +346,6 @@ def manifest_to_argv(manifest: dict) -> list[str]:
         "--eps-min", str(cfg["eps_min"]),
         "--delta-min", str(cfg["delta_min"]),
         "--top-k", str(cfg["top_k"]),
-        "--strategy", cfg["strategy"],
         "--null-model", cfg["null_model"],
         "--samples", str(cfg["samples"]),
         "--seed", str(cfg["seed"]),

@@ -23,7 +23,8 @@ three prunings:
   eps_min and, under the analytical null model, normalized_delta(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
   can recover from either once violated,
-* coverage-set computation and top-k extraction use the pruned engine.
+* coverage-set computation uses the seeded coverage walk, and top-k
+  extraction searches only the view of the set's coverage set.
 
 The exhaustive baseline extends every frequent attribute set, fully
 enumerates the quasi-cliques of each induced graph, and applies the same
@@ -54,7 +55,6 @@ from .quasiclique import (
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
-    SearchStrategy,
     covered_vertices,
     enumerate_maximal,
     top_k_patterns,
@@ -72,7 +72,6 @@ class MinerConfig:
     eps_min: float = 0.0
     delta_min: float = 0.0
     k: int | None = 5  # None = unlimited
-    strategy: SearchStrategy = SearchStrategy.DFS
     null_model: NullModelConfig = field(default_factory=NullModelConfig)
     max_set_size: int | None = None
     expansion_budget: int = DEFAULT_EXPANSION_BUDGET
@@ -153,9 +152,7 @@ def _bitset(posting: tuple[int, ...]) -> int:
 
 
 def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
-    return NullModel(
-        g, cfg.qc_params, cfg.null_model, strategy=cfg.strategy, budget=cfg.expansion_budget
-    )
+    return NullModel(g, cfg.qc_params, cfg.null_model, budget=cfg.expansion_budget)
 
 
 def structural_correlation(
@@ -186,9 +183,7 @@ def structural_correlation(
     else:
         members = tuple(v for v in posting if v in restriction)
     view = induced_view(g, members)
-    covered = covered_vertices(
-        view, cfg.qc_params, cfg.strategy, budget=cfg.expansion_budget, stats=stats
-    )
+    covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
     eps = len(covered) / support
     if null is None:
         null = _null_model(g, cfg)
@@ -351,12 +346,9 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
         )
         pats: list[PatternRecord] = []
         if _qualifies(rec, cfg):
-            members = (
-                posting
-                if restriction is None
-                else tuple(v for v in posting if v in restriction)
-            )
-            view = induced_view(g, members)
+            # Every quasi-clique of the set's view lies in its coverage set,
+            # so the view on that set has the same maximal family.
+            view = induced_view(g, rec.covered)
             cliques = top_k_patterns(
                 view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=engine_stats
             )
@@ -378,7 +370,7 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
     def evaluate(attrs, posting, restriction, engine_stats):
         view = induced_view(g, posting)
         cliques = enumerate_maximal(
-            view, cfg.qc_params, cfg.strategy, budget=cfg.expansion_budget, stats=engine_stats
+            view, cfg.qc_params, budget=cfg.expansion_budget, stats=engine_stats
         )
         covered = tuple(sorted({v for q in cliques for v in q.vertices}))
         support = len(posting)

@@ -24,7 +24,6 @@ from .quasiclique import (
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
-    SearchStrategy,
     covered_vertices,
 )
 
@@ -123,7 +122,6 @@ def sim_eps_exp(
     params: QuasiCliqueParams,
     cfg: NullModelConfig,
     *,
-    strategy: SearchStrategy = SearchStrategy.DFS,
     budget: int = DEFAULT_EXPANSION_BUDGET,
     stats: SearchStats | None = None,
 ) -> ExpectedCorrelation:
@@ -148,7 +146,7 @@ def sim_eps_exp(
         frac = fractions_seen.get(members)
         if frac is None:
             view = induced_view(g, members)
-            covered = covered_vertices(view, params, strategy, budget=budget, stats=stats)
+            covered = covered_vertices(view, params, budget=budget, stats=stats)
             frac = len(covered) / sigma
             fractions_seen[members] = frac
         values.append(frac)
@@ -175,11 +173,10 @@ class NullModel:
 
     The expectation depends only on the support, the graph, and the
     quasi-clique parameters, so one cache serves a whole mining run. The
-    simulation searches its samples with the run's ``strategy`` and
-    expansion ``budget``; a sample that overflows raises
-    SearchBudgetExceeded, and every later request for that support raises
-    it again without searching, since the same samples would overflow the
-    same budget.
+    simulation searches its samples with the run's expansion ``budget``; a
+    sample that overflows raises SearchBudgetExceeded, and every later
+    request for that support raises it again without searching, since the
+    same samples would overflow the same budget.
     """
 
     def __init__(
@@ -189,14 +186,12 @@ class NullModel:
         cfg: NullModelConfig,
         hist: DegreeHistogram | None = None,
         *,
-        strategy: SearchStrategy = SearchStrategy.DFS,
         budget: int = DEFAULT_EXPANSION_BUDGET,
     ):
         self._g = g
         self._params = params
         self._cfg = cfg
         self._hist = hist if hist is not None else degree_distribution(g)
-        self._strategy = strategy
         self._budget = budget
         self._cache: dict[int, ExpectedCorrelation] = {}
         # Support -> message of the overflow its simulation raised.
@@ -223,8 +218,7 @@ class NullModel:
         else:
             try:
                 value = sim_eps_exp(
-                    self._g, sigma, self._params, self._cfg,
-                    strategy=self._strategy, budget=self._budget, stats=stats,
+                    self._g, sigma, self._params, self._cfg, budget=self._budget, stats=stats
                 )
             except SearchBudgetExceeded as exc:
                 self._overflowed[sigma] = str(exc)

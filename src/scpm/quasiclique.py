@@ -10,13 +10,14 @@ The search walks a set-enumeration tree over the view's vertices in a fixed
 canonical order (ascending degree in the z-core-reduced view, ties by id).
 Each node is a pair (chosen, extensions) of disjoint bitmasks; children
 extend ``chosen`` by one vertex and keep only later-ordered extensions.
-The same walk serves three purposes:
+Every walk is depth-first, in pre-order, on a list stack. There are two:
 
-* full maximal enumeration (the exhaustive baseline),
+* the maximal walk, which keeps a subset-free pool of the sets it finds:
+  full maximal enumeration (the exhaustive baseline) without a size floor,
+  and top-k extraction (size desc, density desc, lexicographic asc) with a
+  dynamic size floor raised as the pool fills;
 * coverage-set computation (which vertices lie in any quasi-clique) via
-  seeded walks that stop at the first hit and skip covered vertices,
-* top-k extraction (size desc, density desc, lexicographic asc) with a
-  dynamic size floor raised as the top set fills.
+  seeded walks that stop at the first hit and skip covered vertices.
 
 Pruning applied at every node, all of it sound for the above outputs:
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
@@ -51,13 +51,6 @@ DEFAULT_EXPANSION_BUDGET = 50_000_000
 
 class SearchBudgetExceeded(RuntimeError):
     """The candidate-expansion ceiling was hit; results would be incomplete."""
-
-
-class SearchStrategy(Enum):
-    """Candidate traversal order: FIFO (breadth-first) or LIFO (depth-first)."""
-
-    BFS = "bfs"
-    DFS = "dfs"
 
 
 @dataclass(frozen=True)
@@ -291,54 +284,76 @@ class _ViewSearch:
                 f"on a {self.n}-vertex view"
             )
 
-    def enumerate_all(self, strategy: SearchStrategy) -> list[int]:
-        """Masks of all maximal quasi-cliques (subset-filtered antichain)."""
+    def maximal(self, k: int | None) -> list[int]:
+        """Masks of the maximal quasi-cliques, or with ``k`` a pool whose
+        first k under the reporting order are the first k of them.
+
+        The pool is a subset-free antichain. With ``k`` set, a size floor
+        equal to the k-th largest pooled size prunes every node whose size
+        upper bound falls below it; with ``k`` None the floor stays at
+        min_size, which ``_refine`` already enforces. The floor is sound:
+
+        1. In this pre-order walk every superset of a pooled set is found
+           inside the subtree of the node that found it: a later sibling's
+           extensions exclude the branch vertex.
+        2. The pool is an antichain, so at most one pooled set lies on any
+           root path (a node that is expanded pooled its own chosen set, and
+           every set found below it contains that set).
+        3. So an insert removes at most one entry, a subset of the set it
+           adds: the pool never shrinks, and the floor never falls.
+        4. A node pruned at ``upper < floor`` therefore holds only sets
+           strictly smaller than the final k-th size, and any pooled set it
+           would have replaced is smaller still.
+        """
         if self.n < self.min_size:
             return []
         pool: list[int] = []
-        nodes = deque([(0, self.full_mask)])
-        dfs = strategy is SearchStrategy.DFS
+        floor = self.min_size
+        nodes = [(0, self.full_mask)]
         while nodes:
-            chosen, cand = nodes.pop() if dfs else nodes.popleft()
+            chosen, cand = nodes.pop()
             self._tick()
             refined = self._refine(chosen, cand)
             if refined is None:
                 continue
-            cand, _upper = refined
-            union = chosen | cand
-            usize = union.bit_count()
-            if self._is_dense(union, usize):
-                self.lookahead_hits += 1
-                _antichain_insert(pool, union)
+            cand, upper = refined
+            if upper < floor:
                 continue
-            csize = chosen.bit_count()
-            if (
-                csize >= self.min_size
-                and self._is_dense(chosen, csize)
-                and self._locally_maximal(chosen, csize)
-            ):
-                _antichain_insert(pool, chosen)
-            self._push_children(nodes, chosen, cand, dfs)
+            union = chosen | cand
+            if self._is_dense(union, union.bit_count()):
+                self.lookahead_hits += 1
+                found = union
+            else:
+                csize = chosen.bit_count()
+                locally_maximal = (
+                    csize >= self.min_size
+                    and self._is_dense(chosen, csize)
+                    and self._locally_maximal(chosen, csize)
+                )
+                found = chosen if locally_maximal else 0
+                self._push_children(nodes, chosen, cand)
+            if found:
+                _antichain_insert(pool, found)
+                if k is not None and len(pool) >= k:
+                    floor = sorted((m.bit_count() for m in pool), reverse=True)[k - 1]
         return pool
 
-    def cover(self, strategy: SearchStrategy) -> int:
+    def cover(self) -> int:
         """Mask of all vertices lying in at least one quasi-clique.
 
         One seeded walk per still-uncovered vertex, stopping at the first
         admissible set found; every set found covers all of its members, so
-        candidates made of covered vertices are never searched again. The
-        result does not depend on the traversal strategy.
+        candidates made of covered vertices are never searched again.
         """
         if self.n < self.min_size:
             return 0
         covered = 0
-        dfs = strategy is SearchStrategy.DFS
         for root in range(self.n):
             if covered >> root & 1:
                 continue
             hit = self._greedy_dense_from(root)
             if not hit:
-                hit = self._first_dense_containing(root, dfs)
+                hit = self._first_dense_containing(root)
             covered |= hit
         return covered
 
@@ -385,13 +400,13 @@ class _ViewSearch:
                 best = chosen
         return best
 
-    def _first_dense_containing(self, root: int, dfs: bool) -> int:
+    def _first_dense_containing(self, root: int) -> int:
         """Any admissible set containing ``root``, or 0 when none exists."""
         root_bit = 1 << root
         cand0 = (self.reach2[root] if self.reach2 is not None else self.full_mask) & ~root_bit
-        nodes = deque([(root_bit, cand0)])
+        nodes = [(root_bit, cand0)]
         while nodes:
-            chosen, cand = nodes.pop() if dfs else nodes.popleft()
+            chosen, cand = nodes.pop()
             self._tick()
             refined = self._refine(chosen, cand)
             if refined is None:
@@ -405,67 +420,11 @@ class _ViewSearch:
             csize = chosen.bit_count()
             if csize >= self.min_size and self._is_dense(chosen, csize):
                 return chosen
-            self._push_children(nodes, chosen, cand, dfs)
+            self._push_children(nodes, chosen, cand)
         return 0
 
-    def top_k(self, k: int | None) -> tuple[list[int], int]:
-        """Masks surviving the top-k search plus the largest size possibly lost.
-
-        The dynamic size floor equals the size of the k-th best pooled set.
-        Because the pool may briefly hold non-maximal sets, a floor prune can
-        in principle drop a pattern whose size ties the final k-th answer;
-        the returned ``lost_bound`` lets the caller detect that and fall back
-        to the exhaustive walk.
-        """
-        if self.n < self.min_size:
-            return [], 0
-        pool: list[tuple[int, int, Fraction, tuple[int, ...]]] = []
-        floor = self.min_size
-        lost_bound = 0
-        nodes = [(0, self.full_mask)]
-        while nodes:
-            chosen, cand = nodes.pop()
-            self._tick()
-            refined = self._refine(chosen, cand)
-            if refined is None:
-                continue
-            cand, upper = refined
-            union = chosen | cand
-            usize = union.bit_count()
-            if upper < floor:
-                lost_bound = max(lost_bound, upper)
-                continue
-            if self._is_dense(union, usize):
-                self.lookahead_hits += 1
-                floor = self._pool_insert(pool, union, usize, k)
-                continue
-            csize = chosen.bit_count()
-            if (
-                csize >= self.min_size
-                and self._is_dense(chosen, csize)
-                and self._locally_maximal(chosen, csize)
-            ):
-                floor = self._pool_insert(pool, chosen, csize, k)
-            self._push_children(nodes, chosen, cand, dfs=True)
-        return [entry[1] for entry in pool], lost_bound
-
-    def _pool_insert(self, pool, mask: int, size: int, k: int) -> int:
-        """Antichain insert; returns the refreshed dynamic size floor."""
-        skip = False
-        for entry in pool:
-            if mask & ~entry[1] == 0:
-                skip = True
-                break
-        if not skip:
-            pool[:] = [e for e in pool if e[1] & ~mask != 0]
-            min_deg = min((self.adj[p] & mask).bit_count() for p in _bits(mask))
-            vertices = tuple(sorted(self.vertex_of[p] for p in _bits(mask)))
-            pool.append((size, mask, Fraction(min_deg, size - 1), vertices))
-        if len(pool) >= k:
-            return sorted(pool, key=_pool_key)[k - 1][0]
-        return self.min_size
-
-    def _push_children(self, nodes, chosen: int, cand: int, dfs: bool):
+    def _push_children(self, nodes: list, chosen: int, cand: int):
+        """Push one child per extension, the earliest-ordered on top."""
         children = []
         m = cand
         while m:
@@ -476,14 +435,8 @@ class _ViewSearch:
             if self.reach2 is not None:
                 child_cand &= self.reach2[p]
             children.append((chosen | low, child_cand))
-        if dfs:
-            children.reverse()
+        children.reverse()
         nodes.extend(children)
-
-
-def _pool_key(entry):
-    size, _mask, density, vertices = entry
-    return (-size, -density, vertices)
 
 
 def _antichain_insert(pool: list[int], mask: int):
@@ -504,7 +457,6 @@ def _finish(search: _ViewSearch, stats: SearchStats | None):
 def enumerate_maximal(
     view: GraphView,
     params: QuasiCliqueParams,
-    strategy: SearchStrategy = SearchStrategy.DFS,
     *,
     budget: int = DEFAULT_EXPANSION_BUDGET,
     stats: SearchStats | None = None,
@@ -515,22 +467,12 @@ def enumerate_maximal(
     among all degree-admissible sets of size >= min_size, so its union covers
     every vertex belonging to any such set.
     """
-    search = _ViewSearch(view, params, budget)
-    try:
-        masks = search.enumerate_all(strategy)
-    finally:
-        _finish(search, stats)
-    cliques = [search._clique_from_mask(m, m.bit_count()) for m in masks]
-    cliques.sort(key=pattern_sort_key)
-    if stats is not None:
-        stats.emitted += len(cliques)
-    return cliques
+    return top_k_patterns(view, params, None, budget=budget, stats=stats)
 
 
 def covered_vertices(
     view: GraphView,
     params: QuasiCliqueParams,
-    strategy: SearchStrategy = SearchStrategy.DFS,
     *,
     budget: int = DEFAULT_EXPANSION_BUDGET,
     stats: SearchStats | None = None,
@@ -539,12 +481,11 @@ def covered_vertices(
 
     Computed without full enumeration: each still-uncovered vertex seeds a
     walk that stops at the first admissible set found, and vertices already
-    covered are never searched again. The result is identical for both
-    strategies.
+    covered are never searched again.
     """
     search = _ViewSearch(view, params, budget)
     try:
-        covered = search.cover(strategy)
+        covered = search.cover()
     finally:
         _finish(search, stats)
     return tuple(sorted(search.vertex_of[p] for p in _bits(covered)))
@@ -558,32 +499,21 @@ def top_k_patterns(
     budget: int = DEFAULT_EXPANSION_BUDGET,
     stats: SearchStats | None = None,
 ) -> list[QuasiClique]:
-    """The k best maximal quasi-cliques under the reporting order.
+    """The k best maximal quasi-cliques under the reporting order (all of
+    them when ``k`` is None): always the first k of enumerate_maximal.
 
-    Depth-first with a dynamic size floor. If the floor could have clipped a
-    pattern tying the final k-th size, the exhaustive enumeration is used
-    instead, so the result always equals the first k of enumerate_maximal.
-    Both passes together stay within ``budget`` expansions.
+    One walk with a dynamic size floor; see ``_ViewSearch.maximal``.
     """
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
-    if k is None:
-        return enumerate_maximal(view, params, SearchStrategy.DFS, budget=budget, stats=stats)
     search = _ViewSearch(view, params, budget)
     try:
-        masks, lost_bound = search.top_k(k)
+        masks = search.maximal(k)
     finally:
         _finish(search, stats)
     cliques = [search._clique_from_mask(m, m.bit_count()) for m in masks]
     cliques.sort(key=pattern_sort_key)
-    result = cliques[:k]
-    safe = lost_bound == 0 or (len(result) >= k and result[-1].size > lost_bound)
-    if not safe:
-        # The fallback spends what the first pass left of the view's budget.
-        full = enumerate_maximal(
-            view, params, SearchStrategy.DFS, budget=budget - search.expansions, stats=stats
-        )
-        return full[:k]
+    cliques = cliques[:k]
     if stats is not None:
-        stats.emitted += len(result)
-    return result
+        stats.emitted += len(cliques)
+    return cliques

@@ -17,7 +17,6 @@ from scpm import (
     MinerConfig,
     NullModelConfig,
     QuasiCliqueParams,
-    SearchStrategy,
     binomial_term,
     build_index,
     covered_vertices,
@@ -103,7 +102,6 @@ def test_criterion_1_reference_example_reproduction(example_graph, example_index
         eps_min=0.5,
         delta_min=0.0,
         k=None,
-        strategy=SearchStrategy.DFS,
         null_model=NullModelConfig(kind=ANALYTICAL),
     )
     expected_patterns = {
@@ -146,7 +144,7 @@ def test_criterion_2_oracle_equivalence():
         g = random_attributed_graph(
             rng, rng.randint(8, 30), rng.choice([0.2, 0.4]), rng.randint(2, 8)
         )
-        base = dict(
+        cfg = MinerConfig(
             qc_params=QuasiCliqueParams(gammas[trial % 3], 3 + trial % 2),
             sigma_min=rng.randint(1, 3),
             eps_min=(0.0, 0.3)[trial % 2],
@@ -154,18 +152,13 @@ def test_criterion_2_oracle_equivalence():
             k=None,
             null_model=NullModelConfig(kind=ANALYTICAL),
         )
-        reference = run_naive(g, build_index(g), MinerConfig(strategy=SearchStrategy.DFS, **base))
-        ref_records = sorted(reference.records, key=lambda r: r.attribute_set)
-        ref_patterns = sorted(
-            reference.patterns, key=lambda p: (p.attribute_set, p.quasi_clique.vertices)
+        reference = run_naive(g, build_index(g), cfg)
+        result = run_scpm(g, build_index(g), cfg)
+        assert sorted(result.records, key=lambda r: r.attribute_set) == sorted(
+            reference.records, key=lambda r: r.attribute_set
         )
-        for strategy in SearchStrategy:
-            result = run_scpm(g, build_index(g), MinerConfig(strategy=strategy, **base))
-            assert sorted(result.records, key=lambda r: r.attribute_set) == ref_records
-            assert (
-                sorted(result.patterns, key=lambda p: (p.attribute_set, p.quasi_clique.vertices))
-                == ref_patterns
-            )
+        key = lambda p: (p.attribute_set, p.quasi_clique.vertices)
+        assert sorted(result.patterns, key=key) == sorted(reference.patterns, key=key)
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 100
@@ -245,7 +238,6 @@ def _planted_config():
         eps_min=0.1,
         delta_min=0.0,
         k=5,
-        strategy=SearchStrategy.DFS,
         null_model=NullModelConfig(kind=ANALYTICAL),
     )
 

@@ -53,6 +53,10 @@ class TestExitCodes:
     def test_bad_gamma_is_usage_error(self, tmp_path, example_paths):
         assert run_cli(tmp_path, example_paths, "--gamma-min", "2.5") == 1
 
+    def test_removed_strategy_flag_is_usage_error(self, tmp_path, example_paths, capsys):
+        assert run_cli(tmp_path, example_paths, "--strategy", "dfs") == 1
+        assert "--strategy" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = main([
             "--graph", str(tmp_path / "nope.edges"),
@@ -171,6 +175,20 @@ class TestManifest:
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path, example_paths):
         run_cli(tmp_path, example_paths)
         manifest = json.loads((tmp_path / "records.tsv.manifest.json").read_text())
+        first_records = (tmp_path / "records.tsv").read_bytes()
+        first_patterns = (tmp_path / "patterns.tsv").read_bytes()
+        (tmp_path / "records.tsv").unlink()
+        (tmp_path / "patterns.tsv").unlink()
+        assert main(manifest_to_argv(manifest)) == 0
+        assert (tmp_path / "records.tsv").read_bytes() == first_records
+        assert (tmp_path / "patterns.tsv").read_bytes() == first_patterns
+
+    def test_manifest_with_removed_strategy_key_replays(self, tmp_path, example_paths):
+        # Manifests written while --strategy existed carry its value; the
+        # search order never changed the output, so replay ignores it.
+        run_cli(tmp_path, example_paths)
+        manifest = json.loads((tmp_path / "records.tsv.manifest.json").read_text())
+        manifest["config"]["strategy"] = "bfs"
         first_records = (tmp_path / "records.tsv").read_bytes()
         first_patterns = (tmp_path / "patterns.tsv").read_bytes()
         (tmp_path / "records.tsv").unlink()

@@ -7,7 +7,6 @@ from scpm import (
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
-    SearchStrategy,
     covered_vertices,
     enumerate_maximal,
     induced_view,
@@ -156,9 +155,8 @@ class TestEnumerateMaximal:
             n = rng.randint(min_size, 7)
             view = random_view(rng, n, rng.choice([0.3, 0.5, 0.7]))
             expected = brute_maximal(view, gamma, min_size)
-            for strategy in SearchStrategy:
-                got = as_pairs(enumerate_maximal(view, params, strategy))
-                assert got == expected, (view.members, view.local_adjacency)
+            got = as_pairs(enumerate_maximal(view, params))
+            assert got == expected, (view.members, view.local_adjacency)
 
     def test_all_graphs_on_four_vertices(self):
         params = QuasiCliqueParams(Fraction(1, 2), 3)
@@ -193,10 +191,7 @@ class TestCoveredVertices:
             gamma = rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(1)])
             params = QuasiCliqueParams(gamma, rng.choice([3, 4]))
             expected = brute_covered(view, gamma, params.min_size)
-            bfs = covered_vertices(view, params, SearchStrategy.BFS)
-            dfs = covered_vertices(view, params, SearchStrategy.DFS)
-            assert bfs == expected
-            assert dfs == expected
+            assert covered_vertices(view, params) == expected
 
 
 class TestTopK:
@@ -221,20 +216,6 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_patterns(view, P06_4, 0)
 
-    def test_unsafe_floor_triggers_exhaustive_fallback(self, monkeypatch, example_graph, example_index, example_ids):
-        # Force the rare case where a dynamic-floor prune could have clipped
-        # a pattern tying the k-th size; the caller must re-enumerate.
-        import scpm.quasiclique as qc
-
-        view = view_for_attr(example_graph, example_index, (example_ids.A,))
-        full = enumerate_maximal(view, P06_4)
-
-        def unsafe_top_k(self, k):
-            return [], 99  # nothing survived, claim size-99 sets may be lost
-
-        monkeypatch.setattr(qc._ViewSearch, "top_k", unsafe_top_k)
-        assert top_k_patterns(view, P06_4, 2) == full[:2]
-
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_prefix_of_sorted_enumeration(self, k):
         rng = random.Random(31337 + k)
@@ -245,6 +226,34 @@ class TestTopK:
             full = enumerate_maximal(view, params)
             assert top_k_patterns(view, params, k) == full[:k]
 
+    def test_pool_never_shrinks(self, monkeypatch):
+        # The size floor is sound only because an insert into the top-k
+        # pool removes at most one pooled set, so the pool never shrinks
+        # and the floor never falls.
+        import scpm.quasiclique as qc
+
+        real_insert = qc._antichain_insert
+        replaced = 0
+
+        def checked_insert(pool, mask):
+            nonlocal replaced
+            before = list(pool)
+            real_insert(pool, mask)
+            assert len(pool) >= len(before)
+            if mask in pool and mask not in before and len(pool) == len(before):
+                replaced += 1
+
+        monkeypatch.setattr(qc, "_antichain_insert", checked_insert)
+        rng = random.Random(4711)
+        gammas = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(1)]
+        for trial in range(120):
+            view = random_view(rng, rng.randint(4, 16), rng.choice([0.3, 0.5, 0.7]))
+            params = QuasiCliqueParams(rng.choice(gammas), rng.choice([3, 4, 5]))
+            full = enumerate_maximal(view, params)
+            for k in range(1, 6):
+                assert top_k_patterns(view, params, k) == full[:k]
+        assert replaced > 0
+
 
 class TestBudget:
     def test_budget_overflow_raises(self):
@@ -253,29 +262,6 @@ class TestBudget:
         params = QuasiCliqueParams(Fraction(1, 2), 3)
         with pytest.raises(SearchBudgetExceeded):
             enumerate_maximal(view, params, budget=2)
-
-    def test_top_k_fallback_gets_only_the_remaining_budget(
-        self, monkeypatch, example_graph, example_index, example_ids
-    ):
-        # The first pass and the exhaustive fallback each fit the budget on
-        # their own but not together, so forcing the fallback must overflow.
-        import scpm.quasiclique as qc
-
-        view = view_for_attr(example_graph, example_index, (example_ids.A,))
-        first, full = SearchStats(), SearchStats()
-        top_k_patterns(view, P06_4, 2, stats=first)
-        expected = enumerate_maximal(view, P06_4, stats=full)[:2]
-        real_top_k = qc._ViewSearch.top_k
-
-        def unsafe_top_k(self, k):
-            masks, _lost = real_top_k(self, k)
-            return masks, 99
-
-        monkeypatch.setattr(qc._ViewSearch, "top_k", unsafe_top_k)
-        with pytest.raises(SearchBudgetExceeded):
-            top_k_patterns(view, P06_4, 2, budget=max(first.expansions, full.expansions))
-        both = first.expansions + full.expansions
-        assert top_k_patterns(view, P06_4, 2, budget=both) == expected
 
     def test_stats_accumulate(self, example_graph, example_index, example_ids):
         view = view_for_attr(example_graph, example_index, (example_ids.A,))
