@@ -6,18 +6,21 @@ ceil(gamma_min * (|Q| - 1)) other members, and which is maximal: no strict
 superset satisfying the same degree rule exists. The reported density of a
 set is min_v deg_Q(v) / (|Q| - 1).
 
-The search walks a set-enumeration tree over the view's vertices in a fixed
-canonical order (ascending degree in the z-core-reduced view, ties by id).
-Each node is a pair (chosen, extensions) of disjoint bitmasks; children
-extend ``chosen`` by one vertex and keep only later-ordered extensions.
-Every walk is depth-first, in pre-order, on a list stack. There are two:
+The search walks a set-enumeration tree over the view's vertices, which
+carry a canonical order (ascending degree in the z-core-reduced view, ties
+by id). Each node is a pair (chosen, extensions) of disjoint bitmasks; its
+children extend ``chosen`` by one vertex each, taken in some branching
+order, and drop the extensions branched on before them, so they partition
+the subtree. Every walk is depth-first, in pre-order, on a list stack, and
+all of them share one child generator. There are two:
 
-* the maximal walk, which keeps a subset-free pool of the sets it finds:
-  full maximal enumeration (the exhaustive baseline) without a size floor,
-  and top-k extraction (size desc, density desc, lexicographic asc) with a
-  dynamic size floor raised as the pool fills;
-* coverage-set computation (which vertices lie in any quasi-clique) via
-  seeded walks that stop at the first hit and skip covered vertices.
+* the maximal walk, in canonical order, which keeps a subset-free pool of
+  the sets it finds: full maximal enumeration (the exhaustive baseline)
+  without a size floor, and top-k extraction (size desc, density desc,
+  lexicographic asc) with a dynamic size floor raised as the pool fills;
+* coverage-set computation (which vertices lie in any quasi-clique): one
+  exhaustive walk per still-uncovered root, explored greedy-first
+  (densest extension first) and stopped at the first admissible set.
 
 Pruning applied at every node, all of it sound for the above outputs:
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph import GraphView
 
@@ -100,11 +103,9 @@ def pattern_sort_key(q: QuasiClique):
 
 @dataclass
 class SearchStats:
-    """Counters accumulated across engine invocations."""
+    """Node expansions accumulated across engine invocations."""
 
     expansions: int = 0
-    lookahead_hits: int = 0
-    emitted: int = 0
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -194,9 +195,6 @@ class _ViewSearch:
         self.full_mask = (1 << n) - 1
         self.budget = budget
         self.expansions = 0
-        self.lookahead_hits = 0
-        # Masks of positions strictly above p in the canonical order.
-        self.above = [self.full_mask & ~((1 << (p + 1)) - 1) for p in range(n)]
         # floors[s] = degree floor for a size-s set; size_cap[d] = largest set
         # size a vertex of within-degree d can belong to.
         self.floors = [params.degree_floor(s) for s in range(n + 2)]
@@ -321,7 +319,6 @@ class _ViewSearch:
                 continue
             union = chosen | cand
             if self._is_dense(union, union.bit_count()):
-                self.lookahead_hits += 1
                 found = union
             else:
                 csize = chosen.bit_count()
@@ -331,7 +328,7 @@ class _ViewSearch:
                     and self._locally_maximal(chosen, csize)
                 )
                 found = chosen if locally_maximal else 0
-                self._push_children(nodes, chosen, cand)
+                self._push_children(nodes, chosen, cand, _bits(cand))
             if found:
                 _antichain_insert(pool, found)
                 if k is not None and len(pool) >= k:
@@ -341,67 +338,31 @@ class _ViewSearch:
     def cover(self) -> int:
         """Mask of all vertices lying in at least one quasi-clique.
 
-        One seeded walk per still-uncovered vertex, stopping at the first
-        admissible set found; every set found covers all of its members, so
-        candidates made of covered vertices are never searched again.
+        One exhaustive walk per still-uncovered root, stopping at the first
+        admissible set containing it; every set found covers all of its
+        members, so candidates made of covered vertices are never searched
+        again. A hit is a genuine admissible set and a miss exhausts the
+        root's subtree, so the mask does not depend on the order the walks
+        explore their children in.
         """
         if self.n < self.min_size:
             return 0
         covered = 0
         for root in range(self.n):
-            if covered >> root & 1:
-                continue
-            hit = self._greedy_dense_from(root)
-            if not hit:
-                hit = self._first_dense_containing(root)
-            covered |= hit
+            if not covered >> root & 1:
+                covered |= self._first_dense_containing(root)
         return covered
 
-    def _greedy_dense_from(self, root: int) -> int:
-        """Grow a set around ``root`` densest-first; the largest admissible
-        snapshot reached, or 0. A hit is always genuine; a miss proves nothing.
+    def _first_dense_containing(self, root: int) -> int:
+        """Any admissible set containing ``root``, or 0 when none exists.
+
+        Children are explored greedy-first: the extension with the most
+        neighbours in ``chosen``, then in ``chosen | extensions``, is popped
+        first; the sort is stable, so ties keep the canonical order. The
+        first descent is therefore a densest-first growth around ``root``;
+        where it misses, the walk backtracks until the subtree is exhausted.
         """
         adj = self.adj
-        root_bit = 1 << root
-        chosen = root_bit
-        csize = 1
-        cand = (self.reach2[root] if self.reach2 is not None else self.full_mask) & ~root_bit
-        best = 0
-        while cand:
-            self._tick()
-            refined = self._refine(chosen, cand)
-            if refined is None:
-                break
-            cand, _upper = refined
-            if not cand:
-                break
-            union = chosen | cand
-            usize = union.bit_count()
-            if self._is_dense(union, usize):
-                best = union
-                break
-            pick = -1
-            pick_key = None
-            m = cand
-            while m:
-                low = m & -m
-                p = low.bit_length() - 1
-                m ^= low
-                key = ((adj[p] & chosen).bit_count(), (adj[p] & union).bit_count(), -p)
-                if pick_key is None or key > pick_key:
-                    pick_key = key
-                    pick = p
-            chosen |= 1 << pick
-            csize += 1
-            cand &= ~(1 << pick)
-            if self.reach2 is not None:
-                cand &= self.reach2[pick]
-            if csize >= self.min_size and self._is_dense(chosen, csize):
-                best = chosen
-        return best
-
-    def _first_dense_containing(self, root: int) -> int:
-        """Any admissible set containing ``root``, or 0 when none exists."""
         root_bit = 1 << root
         cand0 = (self.reach2[root] if self.reach2 is not None else self.full_mask) & ~root_bit
         nodes = [(root_bit, cand0)]
@@ -413,28 +374,37 @@ class _ViewSearch:
                 continue
             cand, _upper = refined
             union = chosen | cand
-            usize = union.bit_count()
-            if self._is_dense(union, usize):
-                self.lookahead_hits += 1
+            if self._is_dense(union, union.bit_count()):
                 return union
             csize = chosen.bit_count()
             if csize >= self.min_size and self._is_dense(chosen, csize):
                 return chosen
-            self._push_children(nodes, chosen, cand)
+            order = sorted(
+                _bits(cand),
+                key=lambda p: ((adj[p] & chosen).bit_count(), (adj[p] & union).bit_count()),
+                reverse=True,
+            )
+            self._push_children(nodes, chosen, cand, order)
         return 0
 
-    def _push_children(self, nodes: list, chosen: int, cand: int):
-        """Push one child per extension, the earliest-ordered on top."""
+    def _push_children(self, nodes: list, chosen: int, cand: int, order: Iterable[int]):
+        """Push one child per extension, the first in ``order`` on top.
+
+        Each child drops the extensions branched on before it in ``order``,
+        so the children partition the subtree whatever the order: a set
+        containing ``chosen`` lies below exactly one child, the one of its
+        first extension in ``order``. With the canonical order each child
+        keeps the extensions ordered after its branch vertex.
+        """
         children = []
-        m = cand
-        while m:
-            low = m & -m
-            p = low.bit_length() - 1
-            m ^= low
-            child_cand = cand & self.above[p]
+        rest = cand
+        for p in order:
+            bit = 1 << p
+            rest ^= bit
+            child_cand = rest
             if self.reach2 is not None:
                 child_cand &= self.reach2[p]
-            children.append((chosen | low, child_cand))
+            children.append((chosen | bit, child_cand))
         children.reverse()
         nodes.extend(children)
 
@@ -451,7 +421,6 @@ def _antichain_insert(pool: list[int], mask: int):
 def _finish(search: _ViewSearch, stats: SearchStats | None):
     if stats is not None:
         stats.expansions += search.expansions
-        stats.lookahead_hits += search.lookahead_hits
 
 
 def enumerate_maximal(
@@ -479,9 +448,10 @@ def covered_vertices(
 ) -> tuple[int, ...]:
     """Sorted vertices lying in at least one quasi-clique of the view.
 
-    Computed without full enumeration: each still-uncovered vertex seeds a
-    walk that stops at the first admissible set found, and vertices already
-    covered are never searched again.
+    Computed without full enumeration: each still-uncovered vertex roots an
+    exhaustive walk, explored greedy-first, that stops at the first
+    admissible set found, and vertices already covered are never searched
+    again.
     """
     search = _ViewSearch(view, params, budget)
     try:
@@ -513,7 +483,4 @@ def top_k_patterns(
         _finish(search, stats)
     cliques = [search._clique_from_mask(m, m.bit_count()) for m in masks]
     cliques.sort(key=pattern_sort_key)
-    cliques = cliques[:k]
-    if stats is not None:
-        stats.emitted += len(cliques)
-    return cliques
+    return cliques[:k]

@@ -21,6 +21,7 @@ from scpm import (
 from oracles import as_pairs, brute_covered, brute_maximal, random_graph_lines
 
 P06_4 = QuasiCliqueParams(Fraction(3, 5), 4)
+GAMMAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(1)]
 
 
 def graph_from_edges(n, edges):
@@ -38,6 +39,10 @@ def random_view(rng, n, p):
 
 def view_for_attr(example_graph, example_index, attr_ids):
     return induced_view(example_graph, vertex_set(example_index, attr_ids))
+
+
+def cycle_view(n):
+    return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 class TestParams:
@@ -184,14 +189,48 @@ class TestCoveredVertices:
         view = graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
         assert covered_vertices(view, P06_4) == tuple(range(7))
 
-    def test_matches_enumeration_union_both_strategies(self):
+    def test_matches_brute_force_coverage(self):
         rng = random.Random(5150)
         for trial in range(60):
-            view = random_view(rng, rng.randint(4, 11), rng.choice([0.25, 0.4, 0.6]))
-            gamma = rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(1)])
-            params = QuasiCliqueParams(gamma, rng.choice([3, 4]))
+            view = random_view(rng, rng.randint(4, 16), rng.choice([0.25, 0.4, 0.6]))
+            gamma = rng.choice(GAMMAS)
+            params = QuasiCliqueParams(gamma, rng.choice([3, 4, 5]))
             expected = brute_covered(view, gamma, params.min_size)
             assert covered_vertices(view, params) == expected
+
+    def test_walks_visit_each_node_once(self, monkeypatch):
+        # The greedy-ordered children must partition the subtree: no
+        # coverage walk may reach the same chosen set twice.
+        import scpm.quasiclique as qc
+
+        real_walk = qc._ViewSearch._first_dense_containing
+        real_refine = qc._ViewSearch._refine
+        seen: set[int] = set()
+        visits = 0
+
+        def walk(self, root):
+            seen.clear()
+            return real_walk(self, root)
+
+        def refine(self, chosen, cand):
+            nonlocal visits
+            assert chosen not in seen
+            seen.add(chosen)
+            visits += 1
+            return real_refine(self, chosen, cand)
+
+        monkeypatch.setattr(qc._ViewSearch, "_first_dense_containing", walk)
+        monkeypatch.setattr(qc._ViewSearch, "_refine", refine)
+        # The cycle holds no quasi-clique, so every walk on it runs to
+        # exhaustion.
+        assert covered_vertices(cycle_view(12), P06_4) == ()
+        rng = random.Random(2718)
+        for trial in range(80):
+            view = random_view(rng, rng.randint(4, 14), rng.choice([0.25, 0.4, 0.6]))
+            params = QuasiCliqueParams(rng.choice(GAMMAS), rng.choice([3, 4, 5]))
+            expected = brute_covered(view, params.gamma_min, params.min_size)
+            assert covered_vertices(view, params) == expected
+        assert visits > 1000
 
 
 class TestTopK:
@@ -245,10 +284,9 @@ class TestTopK:
 
         monkeypatch.setattr(qc, "_antichain_insert", checked_insert)
         rng = random.Random(4711)
-        gammas = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(1)]
         for trial in range(120):
             view = random_view(rng, rng.randint(4, 16), rng.choice([0.3, 0.5, 0.7]))
-            params = QuasiCliqueParams(rng.choice(gammas), rng.choice([3, 4, 5]))
+            params = QuasiCliqueParams(rng.choice(GAMMAS), rng.choice([3, 4, 5]))
             full = enumerate_maximal(view, params)
             for k in range(1, 6):
                 assert top_k_patterns(view, params, k) == full[:k]
@@ -258,10 +296,28 @@ class TestTopK:
 class TestBudget:
     def test_budget_overflow_raises(self):
         # A cycle defeats the lookahead, so the walk must expand many nodes.
-        view = graph_from_edges(12, [(v, (v + 1) % 12) for v in range(12)])
+        view = cycle_view(12)
         params = QuasiCliqueParams(Fraction(1, 2), 3)
         with pytest.raises(SearchBudgetExceeded):
             enumerate_maximal(view, params, budget=2)
+
+    def test_coverage_overflow_raises_and_counts(self):
+        view = cycle_view(12)
+        stats = SearchStats()
+        with pytest.raises(SearchBudgetExceeded):
+            covered_vertices(view, P06_4, budget=5, stats=stats)
+        assert stats.expansions > 5
+
+    def test_maximal_walk_expansions_pinned(self, example_graph, example_index, example_ids):
+        # The maximal walk's order is fixed by its size-floor proof; these
+        # counts pin it so a change to the shared child generator shows.
+        view = view_for_attr(example_graph, example_index, (example_ids.A,))
+        stats = SearchStats()
+        enumerate_maximal(view, P06_4, stats=stats)
+        assert stats.expansions == 110
+        stats = SearchStats()
+        top_k_patterns(view, P06_4, 1, stats=stats)
+        assert stats.expansions == 95
 
     def test_stats_accumulate(self, example_graph, example_index, example_ids):
         view = view_for_attr(example_graph, example_index, (example_ids.A,))
