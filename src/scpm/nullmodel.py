@@ -2,14 +2,18 @@
 
 Two models for the expected fraction of covered vertices in a random
 size-sigma vertex subset: a Monte-Carlo estimator (mean over r independent
-samples, each mined with the coverage engine) and an analytical upper bound
-built from the degree distribution. A vertex needs degree at least
-z = ceil(gamma_min * (min_size - 1)) inside the sample to sit in any
-quasi-clique, and the chance that a degree-alpha vertex keeps beta of its
-neighbors in the sample is the binomial term C(alpha, beta) * rho^beta *
-(1 - rho)^(alpha - beta) with rho = (sigma - 1) / (n - 1). Summing the
-binomial tail from z over the degree distribution bounds the expectation
-from above, and the bound is non-decreasing in sigma.
+samples, each peeled to its z-core on int neighbour bitsets and, when the
+core can still hold a quasi-clique, mined with the coverage engine) and an
+analytical upper bound built from the degree distribution. Only the
+estimator builds the bitsets, which cost about n^2 / 8 bytes.
+
+A vertex needs degree at least z = ceil(gamma_min * (min_size - 1)) inside
+the sample to sit in any quasi-clique, and the chance that a degree-alpha
+vertex keeps beta of its neighbors in the sample is the binomial term
+C(alpha, beta) * rho^beta * (1 - rho)^(alpha - beta) with
+rho = (sigma - 1) / (n - 1). Summing the binomial tail from z over the
+degree distribution bounds the expectation from above, and the bound is
+non-decreasing in sigma.
 """
 
 from __future__ import annotations
@@ -17,8 +21,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import AttributedGraph, DegreeHistogram, degree_distribution, induced_view
+from .graph import (
+    AttributedGraph,
+    DegreeHistogram,
+    degree_distribution,
+    induced_view,
+    neighbor_masks,
+)
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
     QuasiCliqueParams,
@@ -116,6 +127,23 @@ def _stream_seed(seed: int, sigma: int, trial: int) -> int:
     return x ^ (x >> 31)
 
 
+def _z_core(nbr: list[int], members: Sequence[int], z: int) -> Sequence[int]:
+    """Sorted members of the z-core of the subgraph induced by ``members``.
+
+    Drops every vertex with fewer than z neighbours among the survivors,
+    repeated until nothing changes (the k-core peel of Batagelj and
+    Zaversnik, 2003, on int bitsets). The core is unique, so it equals the
+    members of ``vertex_prune(induced_view(g, members), params)``.
+    """
+    alive = sum(1 << v for v in members)
+    while True:
+        keep = [v for v in members if (nbr[v] & alive).bit_count() >= z]
+        if len(keep) == len(members):
+            return members
+        members = keep
+        alive = sum(1 << v for v in keep)
+
+
 def sim_eps_exp(
     g: AttributedGraph,
     sigma: int,
@@ -129,7 +157,14 @@ def sim_eps_exp(
 
     Each trial draws sigma vertices without replacement from its own seeded
     stream, so results are bit-for-bit reproducible and independent of
-    evaluation order. Also reports the sample standard deviation. The
+    evaluation order. Also reports the sample standard deviation.
+
+    Every quasi-clique of a sample lies in its z-core, so each sample is
+    first peeled to that core on the graph's neighbour bitsets, and a view
+    is built and searched only for the survivors. A core smaller than
+    min_size holds no quasi-clique and scores 0 without a search. Searching
+    the core gives the same coverage and the same expansions as searching
+    the whole sample, since the engine peels to the same core first. The
     expansions of every sample search, including one that overflows, are
     added to ``stats``.
     """
@@ -138,6 +173,8 @@ def sim_eps_exp(
     n = g.vertex_count
     if not 1 <= sigma <= n:
         raise ValueError(f"sigma must be in [1, {n}], got {sigma}")
+    nbr = neighbor_masks(g)
+    z = params.z
     fractions_seen: dict[tuple[int, ...], float] = {}
     values = []
     for trial in range(cfg.samples):
@@ -145,9 +182,14 @@ def sim_eps_exp(
         members = tuple(sorted(rng.sample(range(n), sigma)))
         frac = fractions_seen.get(members)
         if frac is None:
-            view = induced_view(g, members)
-            covered = covered_vertices(view, params, budget=budget, stats=stats)
-            frac = len(covered) / sigma
+            core = _z_core(nbr, members, z)
+            if len(core) < params.min_size:
+                frac = 0.0
+            else:
+                covered = covered_vertices(
+                    induced_view(g, core), params, budget=budget, stats=stats
+                )
+                frac = len(covered) / sigma
             fractions_seen[members] = frac
         values.append(frac)
     mean = math.fsum(values) / len(values)

@@ -37,7 +37,8 @@ Pruning applied at every node, all of it sound for the above outputs:
   already dense; and
 * only when gamma_min >= 1/2, where quasi-cliques have diameter at most 2,
   restriction of extensions to vertices within distance 2 of every chosen
-  vertex.
+  vertex, and at gamma_min = 1, where they are cliques, to the common
+  neighbours of the chosen vertices.
 """
 
 from __future__ import annotations
@@ -200,10 +201,15 @@ class _ViewSearch:
         self.floors = [params.degree_floor(s) for s in range(n + 2)]
         num, den = params.gamma_min.numerator, params.gamma_min.denominator
         self.size_cap = [d * den // num + 1 for d in range(n + 1)]
-        if params.gamma_min * 2 >= 1:
-            self.reach2 = [self._distance2_mask(p) for p in range(n)]
+        # reach[p] holds every vertex that can share a quasi-clique with p:
+        # its neighbours at gamma 1, where every member is adjacent to every
+        # other, and its distance-2 ball from gamma 1/2 up.
+        if params.gamma_min == 1:
+            self.reach = adj
+        elif params.gamma_min * 2 >= 1:
+            self.reach = [self._distance2_mask(p) for p in range(n)]
         else:
-            self.reach2 = None
+            self.reach = None
 
     def _distance2_mask(self, p: int) -> int:
         mask = self.adj[p] | (1 << p)
@@ -364,7 +370,7 @@ class _ViewSearch:
         """
         adj = self.adj
         root_bit = 1 << root
-        cand0 = (self.reach2[root] if self.reach2 is not None else self.full_mask) & ~root_bit
+        cand0 = (self.reach[root] if self.reach is not None else self.full_mask) & ~root_bit
         nodes = [(root_bit, cand0)]
         while nodes:
             chosen, cand = nodes.pop()
@@ -402,8 +408,8 @@ class _ViewSearch:
             bit = 1 << p
             rest ^= bit
             child_cand = rest
-            if self.reach2 is not None:
-                child_cand &= self.reach2[p]
+            if self.reach is not None:
+                child_cand &= self.reach[p]
             children.append((chosen | bit, child_cand))
         children.reverse()
         nodes.extend(children)

@@ -1,27 +1,58 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import scpm.nullmodel as nm
 from scpm import (
     ANALYTICAL,
     SIMULATION,
     ExpectedCorrelation,
+    MinerConfig,
     NullModel,
     NullModelConfig,
     QuasiCliqueParams,
+    SearchBudgetExceeded,
+    SearchStats,
     binomial_term,
+    build_index,
+    covered_vertices,
     degree_distribution,
+    induced_view,
     max_eps_exp,
     normalized_delta,
+    run_scpm,
     sample_prob,
     sim_eps_exp,
+    vertex_prune,
 )
+from scpm.graph import neighbor_masks
 
 from oracles import exact_expected_bound, random_attributed_graph
 
 P06_4 = QuasiCliqueParams(Fraction(3, 5), 4)
+CORE_GAMMAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(1)]
+
+
+def reference_sim_eps_exp(g, sigma, params, cfg, *, budget, stats):
+    """The estimator without the peel: search the view of every whole sample."""
+    fractions_seen = {}
+    values = []
+    for trial in range(cfg.samples):
+        rng = random.Random(nm._stream_seed(cfg.seed, sigma, trial))
+        members = tuple(sorted(rng.sample(range(g.vertex_count), sigma)))
+        frac = fractions_seen.get(members)
+        if frac is None:
+            covered = covered_vertices(induced_view(g, members), params, budget=budget, stats=stats)
+            frac = len(covered) / sigma
+            fractions_seen[members] = frac
+        values.append(frac)
+    mean = math.fsum(values) / len(values)
+    if len(values) < 2:
+        return mean, 0.0
+    return mean, math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (len(values) - 1))
 
 
 class TestSampleProb:
@@ -154,6 +185,83 @@ class TestSimEpsExp:
             slack = 3 * sim.std_dev / math.sqrt(cfg.samples)
             assert sim.value <= bound.value + slack
 
+    def test_bitset_core_matches_vertex_prune(self):
+        rng = random.Random(2024)
+        empty = small = large = 0
+        for _ in range(120):
+            n = rng.randint(20, 200)
+            g = random_attributed_graph(rng, n, rng.uniform(1.5, 12.0) / n, 1)
+            params = QuasiCliqueParams(rng.choice(CORE_GAMMAS), rng.randint(3, 5))
+            members = sorted(rng.sample(range(n), rng.randint(1, n)))
+            core = nm._z_core(neighbor_masks(g), members, params.z)
+            assert tuple(core) == vertex_prune(induced_view(g, members), params).members
+            if not core:
+                empty += 1
+            elif len(core) < params.min_size:
+                small += 1
+            else:
+                large += 1
+        assert empty and small and large
+
+    def test_matches_search_of_whole_samples(self):
+        rng = random.Random(31)
+        scored = 0
+        for _ in range(12):
+            n = rng.randint(20, 40)
+            g = random_attributed_graph(rng, n, rng.choice([0.1, 0.2, 0.3]), 1)
+            params = QuasiCliqueParams(rng.choice(CORE_GAMMAS), rng.randint(3, 5))
+            cfg = NullModelConfig(kind=SIMULATION, samples=15, seed=rng.randint(0, 99))
+            for sigma in sorted(rng.sample(range(1, n + 1), 5)):
+                got_stats, want_stats = SearchStats(), SearchStats()
+                got = sim_eps_exp(g, sigma, params, cfg, stats=got_stats)
+                want = reference_sim_eps_exp(
+                    g, sigma, params, cfg, budget=nm.DEFAULT_EXPANSION_BUDGET, stats=want_stats
+                )
+                assert (got.value, got.std_dev) == want
+                assert got_stats.expansions == want_stats.expansions
+                scored += got.value > 0.0
+        assert scored > 10
+
+    def test_overflow_at_the_same_support(self):
+        rng = random.Random(32)
+        g = random_attributed_graph(rng, 40, 0.35, 1)
+        cfg = NullModelConfig(kind=SIMULATION, samples=10, seed=4)
+        outcomes = set()
+        for sigma in range(4, 41, 4):
+            got_stats, want_stats = SearchStats(), SearchStats()
+            try:
+                got = sim_eps_exp(g, sigma, P06_4, cfg, budget=40, stats=got_stats)
+            except SearchBudgetExceeded:
+                got = "overflow"
+            try:
+                want = reference_sim_eps_exp(g, sigma, P06_4, cfg, budget=40, stats=want_stats)
+            except SearchBudgetExceeded:
+                want = "overflow"
+            if got != "overflow":
+                got = (got.value, got.std_dev)
+            assert got == want
+            assert got_stats.expansions == want_stats.expansions
+            outcomes.add(got == "overflow")
+        assert outcomes == {True, False}
+
+    def test_full_support_memo_searches_once(self, monkeypatch):
+        # Every sample at sigma = n is the whole graph, so only the first
+        # is searched.
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return covered_vertices(*args, **kwargs)
+
+        monkeypatch.setattr(nm, "covered_vertices", counted)
+        rng = random.Random(8)
+        g = random_attributed_graph(rng, 15, 0.5, 2)
+        cfg = NullModelConfig(kind=SIMULATION, samples=25, seed=3)
+        got = sim_eps_exp(g, 15, P06_4, cfg)
+        assert got.value > 0.0
+        assert calls == 1
+
     def test_requires_simulation_config(self):
         rng = random.Random(13)
         g = random_attributed_graph(rng, 10, 0.3, 2)
@@ -192,6 +300,29 @@ class TestNullModelProvider:
             NullModelConfig(kind="bogus")
         with pytest.raises(ValueError):
             NullModelConfig(kind=SIMULATION, samples=0)
+
+    def test_analytical_run_never_builds_neighbor_bitsets(self, monkeypatch):
+        # The bitsets cost about n^2 / 8 bytes; only the simulation may pay.
+        def refuse(g):
+            raise AssertionError("neighbor bitsets built")
+
+        monkeypatch.setattr(nm, "neighbor_masks", refuse)
+        rng = random.Random(15)
+        g = random_attributed_graph(rng, 30, 0.3, 3, attr_prob=0.6)
+        index = build_index(g)
+        cfg = MinerConfig(
+            qc_params=P06_4,
+            sigma_min=3,
+            eps_min=0.0,
+            delta_min=0.0,
+            k=None,
+            null_model=NullModelConfig(kind=ANALYTICAL),
+        )
+        assert run_scpm(g, index, cfg).records
+        assert "_nbr_masks" not in g.__dict__
+        sim_cfg = dataclasses.replace(cfg, null_model=NullModelConfig(kind=SIMULATION))
+        with pytest.raises(AssertionError, match="neighbor bitsets built"):
+            run_scpm(g, index, sim_cfg)
 
     def test_tiny_graph_expectation_is_zero(self):
         from scpm import load_graph

@@ -225,7 +225,7 @@ class TestCoveredVertices:
         # exhaustion.
         assert covered_vertices(cycle_view(12), P06_4) == ()
         rng = random.Random(2718)
-        for trial in range(80):
+        for trial in range(100):
             view = random_view(rng, rng.randint(4, 14), rng.choice([0.25, 0.4, 0.6]))
             params = QuasiCliqueParams(rng.choice(GAMMAS), rng.choice([3, 4, 5]))
             expected = brute_covered(view, params.gamma_min, params.min_size)
@@ -307,6 +307,20 @@ class TestBudget:
         with pytest.raises(SearchBudgetExceeded):
             covered_vertices(view, P06_4, budget=5, stats=stats)
         assert stats.expansions > 5
+
+    def test_gamma_one_extends_by_common_neighbours(self):
+        # A complete 3-partite graph on 12 vertices plus one edge inside a
+        # part: every 4-clique holds that edge. The distance-2 ball of any
+        # vertex is the whole graph, so only the rule that a clique member
+        # is adjacent to every chosen vertex keeps both walks small.
+        n = 12
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if u % 3 != v % 3]
+        view = graph_from_edges(n, edges + [(0, 3)])
+        params = QuasiCliqueParams(Fraction(1), 4)
+        assert covered_vertices(view, params, budget=500) == brute_covered(view, params.gamma_min, 4)
+        assert as_pairs(enumerate_maximal(view, params, budget=500)) == brute_maximal(
+            view, params.gamma_min, 4
+        )
 
     def test_maximal_walk_expansions_pinned(self, example_graph, example_index, example_ids):
         # The maximal walk's order is fixed by its size-floor proof; these
