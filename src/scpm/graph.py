@@ -232,19 +232,6 @@ def degree_distribution(g: AttributedGraph) -> DegreeHistogram:
     return DegreeHistogram(counts=counts, max_degree=max_degree, probabilities=probabilities)
 
 
-def neighbor_masks(g: AttributedGraph) -> list[int]:
-    """Neighbors of every vertex as an int bitset (bit u set for neighbor u).
-
-    Built on first use and cached on ``g``. Costs about n^2 / 8 bytes, so
-    only callers that need it for many vertex subsets should ask.
-    """
-    masks = g.__dict__.get("_nbr_masks")
-    if masks is None:
-        masks = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
-        g.__dict__["_nbr_masks"] = masks
-    return masks
-
-
 def induced_view(g: AttributedGraph, members) -> GraphView:
     """View of ``g`` restricted to ``members`` (sorted, duplicate-free, all in V)."""
     members = tuple(members)

@@ -2,10 +2,9 @@
 
 Two models for the expected fraction of covered vertices in a random
 size-sigma vertex subset: a Monte-Carlo estimator (mean over r independent
-samples, each peeled to its z-core on int neighbour bitsets and, when the
-core can still hold a quasi-clique, mined with the coverage engine) and an
-analytical upper bound built from the degree distribution. Only the
-estimator builds the bitsets, which cost about n^2 / 8 bytes.
+samples, each peeled to its z-core and, when the core can still hold a
+quasi-clique, mined with the coverage engine) and an analytical upper bound
+built from the degree distribution.
 
 A vertex needs degree at least z = ceil(gamma_min * (min_size - 1)) inside
 the sample to sit in any quasi-clique, and the chance that a degree-alpha
@@ -28,7 +27,6 @@ from .graph import (
     DegreeHistogram,
     degree_distribution,
     induced_view,
-    neighbor_masks,
 )
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
@@ -127,21 +125,33 @@ def _stream_seed(seed: int, sigma: int, trial: int) -> int:
     return x ^ (x >> 31)
 
 
-def _z_core(nbr: list[int], members: Sequence[int], z: int) -> Sequence[int]:
+def _z_core(adjacency: Sequence[Sequence[int]], members: Sequence[int], z: int) -> list[int]:
     """Sorted members of the z-core of the subgraph induced by ``members``.
 
-    Drops every vertex with fewer than z neighbours among the survivors,
-    repeated until nothing changes (the k-core peel of Batagelj and
-    Zaversnik, 2003, on int bitsets). The core is unique, so it equals the
-    members of ``vertex_prune(induced_view(g, members), params)``.
+    A first pass drops every member with fewer than z neighbours in the
+    whole sample, which in a sparse sample is nearly all of them. The
+    survivors then keep their neighbour sets among each other, and the
+    queue-based peel of the k-core decomposition (Batagelj and Zaversnik,
+    2003), run for the one value z, drops each vertex whose set falls below
+    z and takes it out of its neighbours' sets. Time is linear in the
+    members' degrees and memory in the sample's edges. The core is unique,
+    so it equals the members of ``vertex_prune(induced_view(g, members), params)``.
     """
-    alive = sum(1 << v for v in members)
-    while True:
-        keep = [v for v in members if (nbr[v] & alive).bit_count() >= z]
-        if len(keep) == len(members):
-            return members
-        members = keep
-        alive = sum(1 << v for v in keep)
+    sample = set(members)
+    kept = [v for v in members if len(sample.intersection(adjacency[v])) >= z]
+    alive = set(kept)
+    local = {v: alive.intersection(adjacency[v]) for v in kept}
+    dropped = [v for v in kept if len(local[v]) < z]
+    alive.difference_update(dropped)
+    for v in dropped:  # grows while it is walked
+        for u in local[v]:
+            if u in alive:
+                nbrs = local[u]
+                nbrs.discard(v)
+                if len(nbrs) < z:
+                    alive.discard(u)
+                    dropped.append(u)
+    return [v for v in kept if v in alive]
 
 
 def sim_eps_exp(
@@ -160,7 +170,7 @@ def sim_eps_exp(
     evaluation order. Also reports the sample standard deviation.
 
     Every quasi-clique of a sample lies in its z-core, so each sample is
-    first peeled to that core on the graph's neighbour bitsets, and a view
+    first peeled to that core over the graph's adjacency, and a view
     is built and searched only for the survivors. A core smaller than
     min_size holds no quasi-clique and scores 0 without a search. Searching
     the core gives the same coverage and the same expansions as searching
@@ -173,7 +183,6 @@ def sim_eps_exp(
     n = g.vertex_count
     if not 1 <= sigma <= n:
         raise ValueError(f"sigma must be in [1, {n}], got {sigma}")
-    nbr = neighbor_masks(g)
     z = params.z
     fractions_seen: dict[tuple[int, ...], float] = {}
     values = []
@@ -182,7 +191,7 @@ def sim_eps_exp(
         members = tuple(sorted(rng.sample(range(n), sigma)))
         frac = fractions_seen.get(members)
         if frac is None:
-            core = _z_core(nbr, members, z)
+            core = _z_core(g.adjacency, members, z)
             if len(core) < params.min_size:
                 frac = 0.0
             else:

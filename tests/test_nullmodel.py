@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,25 +9,22 @@ from scpm import (
     ANALYTICAL,
     SIMULATION,
     ExpectedCorrelation,
-    MinerConfig,
     NullModel,
     NullModelConfig,
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
     binomial_term,
-    build_index,
     covered_vertices,
     degree_distribution,
     induced_view,
+    load_graph,
     max_eps_exp,
     normalized_delta,
-    run_scpm,
     sample_prob,
     sim_eps_exp,
     vertex_prune,
 )
-from scpm.graph import neighbor_masks
 
 from oracles import exact_expected_bound, random_attributed_graph
 
@@ -185,7 +181,7 @@ class TestSimEpsExp:
             slack = 3 * sim.std_dev / math.sqrt(cfg.samples)
             assert sim.value <= bound.value + slack
 
-    def test_bitset_core_matches_vertex_prune(self):
+    def test_core_matches_vertex_prune(self):
         rng = random.Random(2024)
         empty = small = large = 0
         for _ in range(120):
@@ -193,7 +189,7 @@ class TestSimEpsExp:
             g = random_attributed_graph(rng, n, rng.uniform(1.5, 12.0) / n, 1)
             params = QuasiCliqueParams(rng.choice(CORE_GAMMAS), rng.randint(3, 5))
             members = sorted(rng.sample(range(n), rng.randint(1, n)))
-            core = nm._z_core(neighbor_masks(g), members, params.z)
+            core = nm._z_core(g.adjacency, members, params.z)
             assert tuple(core) == vertex_prune(induced_view(g, members), params).members
             if not core:
                 empty += 1
@@ -202,6 +198,20 @@ class TestSimEpsExp:
             else:
                 large += 1
         assert empty and small and large
+        # Deep peels: a 300-cycle with a 300-vertex tail, whose tail falls
+        # one vertex at a time from its free end at z = 2, and the same
+        # graph less vertex 0, a 599-vertex path with an empty core.
+        n = 600
+        edges = [f"{v} {(v + 1) % 300}" for v in range(300)]
+        edges += [f"{v} {v + 1}" for v in range(299, n - 1)]
+        g = load_graph(iter(edges), iter(str(v) for v in range(n)))
+        params = QuasiCliqueParams(Fraction(1, 2), 5)
+        assert params.z == 2
+        members = range(n)
+        core = nm._z_core(g.adjacency, members, params.z)
+        assert list(core) == list(range(300))
+        assert tuple(core) == vertex_prune(induced_view(g, members), params).members
+        assert nm._z_core(g.adjacency, range(1, n), params.z) == []
 
     def test_matches_search_of_whole_samples(self):
         rng = random.Random(31)
@@ -300,29 +310,6 @@ class TestNullModelProvider:
             NullModelConfig(kind="bogus")
         with pytest.raises(ValueError):
             NullModelConfig(kind=SIMULATION, samples=0)
-
-    def test_analytical_run_never_builds_neighbor_bitsets(self, monkeypatch):
-        # The bitsets cost about n^2 / 8 bytes; only the simulation may pay.
-        def refuse(g):
-            raise AssertionError("neighbor bitsets built")
-
-        monkeypatch.setattr(nm, "neighbor_masks", refuse)
-        rng = random.Random(15)
-        g = random_attributed_graph(rng, 30, 0.3, 3, attr_prob=0.6)
-        index = build_index(g)
-        cfg = MinerConfig(
-            qc_params=P06_4,
-            sigma_min=3,
-            eps_min=0.0,
-            delta_min=0.0,
-            k=None,
-            null_model=NullModelConfig(kind=ANALYTICAL),
-        )
-        assert run_scpm(g, index, cfg).records
-        assert "_nbr_masks" not in g.__dict__
-        sim_cfg = dataclasses.replace(cfg, null_model=NullModelConfig(kind=SIMULATION))
-        with pytest.raises(AssertionError, match="neighbor bitsets built"):
-            run_scpm(g, index, sim_cfg)
 
     def test_tiny_graph_expectation_is_zero(self):
         from scpm import load_graph
