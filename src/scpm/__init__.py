@@ -16,6 +16,7 @@ from .graph import (
     degree_distribution,
     induced_view,
     load_graph,
+    z_core,
 )
 from .index import (
     AttributeIndex,

@@ -1,4 +1,5 @@
-"""Attributed graph storage, degree statistics, and induced subgraph views.
+"""Attributed graph storage, degree statistics, induced subgraph views, and
+the z-core peel that decides which members a view needs.
 
 The graph is immutable after loading: adjacency is a list of strictly sorted
 neighbor tuples over dense vertex ids 0..n-1, and every vertex carries a
@@ -9,7 +10,7 @@ non-negative integers) are remapped on load; ``external_ids`` maps back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # File vertex ids above this are rejected so dense remapping stays in
 # fixed-width integer territory.
@@ -244,3 +245,37 @@ def induced_view(g: AttributedGraph, members) -> GraphView:
             raise ValueError(f"vertex {v} is not in the graph")
         local.append(tuple(u for u in g.adjacency[v] if u in member_set))
     return GraphView(members=members, local_adjacency=tuple(local))
+
+
+def z_core(adjacency: Sequence[Sequence[int]], members: Sequence[int], z: int) -> list[int]:
+    """Members of the z-core of the subgraph induced by ``members``, in
+    their given order (sorted when ``members`` is).
+
+    Every subset of ``members`` in which each vertex has z neighbours lies
+    in the z-core, so when z is ``QuasiCliqueParams.z`` every quasi-clique
+    of the induced subgraph lies in this core. A first pass drops every member with fewer
+    than z neighbours among all the members, which for a sparse member set
+    (a random sample, or an attribute set's posting) is nearly all of them.
+    The survivors then keep their neighbour sets among each other, and the
+    queue-based peel of the k-core decomposition (Batagelj and Zaversnik,
+    2003), run for the one value z, drops each vertex whose set falls below
+    z and takes it out of its neighbours' sets. Time is linear in the
+    members' degrees and memory in the edges among them. The core is
+    unique, so it equals the members of
+    ``vertex_prune(induced_view(g, members), params)``.
+    """
+    sample = set(members)
+    kept = [v for v in members if len(sample.intersection(adjacency[v])) >= z]
+    alive = set(kept)
+    local = {v: alive.intersection(adjacency[v]) for v in kept}
+    dropped = [v for v in kept if len(local[v]) < z]
+    alive.difference_update(dropped)
+    for v in dropped:  # grows while it is walked
+        for u in local[v]:
+            if u in alive:
+                nbrs = local[u]
+                nbrs.discard(v)
+                if len(nbrs) < z:
+                    alive.discard(u)
+                    dropped.append(u)
+    return [v for v in kept if v in alive]

@@ -15,16 +15,20 @@ forming its attribute set; only candidates that pass are merged into the
 sorted posting the rest of the pipeline reads.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
-three prunings:
+four prunings:
 
 * each child's quasi-clique search is restricted to the intersection of its
   parents' coverage sets (no quasi-clique can leave them),
+* the set's members are peeled to their z-core over the graph's adjacency
+  (``graph.z_core``) before its view is built, since no quasi-clique member
+  lies outside that core; most of a sparse posting falls away here,
 * an attribute set is extended only while covered_count / sigma_min >=
   eps_min and, under the analytical null model, normalized_delta(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
   can recover from either once violated,
-* coverage-set computation uses the seeded coverage walk, and top-k
-  extraction searches only the view of the set's coverage set.
+* coverage-set computation walks exhaustively from each still-uncovered
+  root, greedy-first, and top-k extraction searches only the view of the
+  set's coverage set.
 
 The exhaustive baseline extends every frequent attribute set, fully
 enumerates the quasi-cliques of each induced graph, and applies the same
@@ -40,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import AttributedGraph, induced_view
+from .graph import AttributedGraph, induced_view, z_core
 from .index import AttributeIndex, frequent_attributes, intersect_sorted, vertex_set
 from .nullmodel import (
     ANALYTICAL,
@@ -168,9 +172,12 @@ def structural_correlation(
 ) -> CorrelationRecord:
     """Correlation record for attribute set ``s``.
 
-    Support counts the full induced vertex set; the quasi-clique search runs
-    on the view restricted to ``restriction`` when one is supplied (sound
-    whenever the restriction contains every coverage set of a subset of s).
+    Support counts the full induced vertex set. The quasi-clique search runs
+    on the posting, restricted to ``restriction`` when one is supplied
+    (sound whenever the restriction contains every coverage set of a subset
+    of s), and only on the view of those members' z-core. The engine peels
+    any view to that same unique core before it searches, so the coverage
+    set and the expansions equal those of a search of the whole view.
     """
     s = tuple(sorted(set(s)))
     if posting is None:
@@ -182,7 +189,7 @@ def structural_correlation(
         members = posting
     else:
         members = tuple(v for v in posting if v in restriction)
-    view = induced_view(g, members)
+    view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
     covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
     eps = len(covered) / support
     if null is None:

@@ -2,7 +2,8 @@
 
 Two models for the expected fraction of covered vertices in a random
 size-sigma vertex subset: a Monte-Carlo estimator (mean over r independent
-samples, each peeled to its z-core and, when the core can still hold a
+samples, each peeled to its z-core by ``graph.z_core``, the peel the miner
+also applies to attribute sets, and, when the core can still hold a
 quasi-clique, mined with the coverage engine) and an analytical upper bound
 built from the degree distribution.
 
@@ -20,13 +21,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graph import (
     AttributedGraph,
     DegreeHistogram,
     degree_distribution,
     induced_view,
+    z_core,
 )
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
@@ -125,35 +126,6 @@ def _stream_seed(seed: int, sigma: int, trial: int) -> int:
     return x ^ (x >> 31)
 
 
-def _z_core(adjacency: Sequence[Sequence[int]], members: Sequence[int], z: int) -> list[int]:
-    """Sorted members of the z-core of the subgraph induced by ``members``.
-
-    A first pass drops every member with fewer than z neighbours in the
-    whole sample, which in a sparse sample is nearly all of them. The
-    survivors then keep their neighbour sets among each other, and the
-    queue-based peel of the k-core decomposition (Batagelj and Zaversnik,
-    2003), run for the one value z, drops each vertex whose set falls below
-    z and takes it out of its neighbours' sets. Time is linear in the
-    members' degrees and memory in the sample's edges. The core is unique,
-    so it equals the members of ``vertex_prune(induced_view(g, members), params)``.
-    """
-    sample = set(members)
-    kept = [v for v in members if len(sample.intersection(adjacency[v])) >= z]
-    alive = set(kept)
-    local = {v: alive.intersection(adjacency[v]) for v in kept}
-    dropped = [v for v in kept if len(local[v]) < z]
-    alive.difference_update(dropped)
-    for v in dropped:  # grows while it is walked
-        for u in local[v]:
-            if u in alive:
-                nbrs = local[u]
-                nbrs.discard(v)
-                if len(nbrs) < z:
-                    alive.discard(u)
-                    dropped.append(u)
-    return [v for v in kept if v in alive]
-
-
 def sim_eps_exp(
     g: AttributedGraph,
     sigma: int,
@@ -170,13 +142,13 @@ def sim_eps_exp(
     evaluation order. Also reports the sample standard deviation.
 
     Every quasi-clique of a sample lies in its z-core, so each sample is
-    first peeled to that core over the graph's adjacency, and a view
-    is built and searched only for the survivors. A core smaller than
-    min_size holds no quasi-clique and scores 0 without a search. Searching
-    the core gives the same coverage and the same expansions as searching
-    the whole sample, since the engine peels to the same core first. The
-    expansions of every sample search, including one that overflows, are
-    added to ``stats``.
+    first peeled to that core over the graph's adjacency by
+    ``graph.z_core``, and a view is built and searched only for the
+    survivors. A core smaller than min_size holds no quasi-clique and
+    scores 0 without a search. Searching the core gives the same coverage
+    and the same expansions as searching the whole sample, since the engine
+    peels to the same core first. The expansions of every sample search,
+    including one that overflows, are added to ``stats``.
     """
     if cfg.kind != SIMULATION:
         raise ValueError("sim_eps_exp requires a simulation-kind config")
@@ -191,7 +163,7 @@ def sim_eps_exp(
         members = tuple(sorted(rng.sample(range(n), sigma)))
         frac = fractions_seen.get(members)
         if frac is None:
-            core = _z_core(g.adjacency, members, z)
+            core = z_core(g.adjacency, members, z)
             if len(core) < params.min_size:
                 frac = 0.0
             else:

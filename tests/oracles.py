@@ -53,6 +53,18 @@ def brute_covered(view: GraphView, gamma: Fraction, min_size: int) -> tuple[int,
     return tuple(sorted(covered))
 
 
+def brute_z_core(adjacency, members, z: int) -> list[int]:
+    """z-core of the subgraph induced by ``members``, by whole rounds: each
+    round deletes every vertex with fewer than z neighbours left, until a
+    round deletes none."""
+    alive = set(members)
+    while True:
+        low = {v for v in alive if sum(u in alive for u in adjacency[v]) < z}
+        if not low:
+            return sorted(alive)
+        alive -= low
+
+
 def as_pairs(cliques):
     """Engine output normalized to the oracle's (vertices, density) shape."""
     return [(q.vertices, q.density) for q in cliques]

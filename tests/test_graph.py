@@ -1,10 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from scpm import GraphFormatError, degree_distribution, induced_view, load_graph
+from scpm import (
+    GraphFormatError,
+    QuasiCliqueParams,
+    build_index,
+    degree_distribution,
+    induced_view,
+    load_graph,
+    vertex_prune,
+    vertex_set,
+    z_core,
+)
 
-from oracles import random_graph_lines
+from oracles import brute_z_core, random_attributed_graph, random_graph_lines
+
+CORE_GAMMAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(1)]
 
 
 def make_graph(edge_lines, attr_lines=()):
@@ -183,3 +196,61 @@ class TestInducedView:
         va = set(vertex_set(example_index, (example_ids.A,)))
         vab = set(vertex_set(example_index, (example_ids.A, example_ids.B)))
         assert vab <= va
+
+
+class TestZCore:
+    @staticmethod
+    def core_of(g, members, params):
+        """z_core of ``members``, checked against the round-by-round oracle
+        and against the engine's peel of the members' whole view."""
+        core = z_core(g.adjacency, members, params.z)
+        assert core == brute_z_core(g.adjacency, members, params.z)
+        assert tuple(core) == vertex_prune(induced_view(g, members), params).members
+        return core
+
+    def test_core_matches_vertex_prune(self):
+        rng = random.Random(2024)
+        empty = small = large = 0
+        for _ in range(120):
+            n = rng.randint(20, 200)
+            g = random_attributed_graph(rng, n, rng.uniform(1.5, 12.0) / n, 1)
+            params = QuasiCliqueParams(rng.choice(CORE_GAMMAS), rng.randint(3, 5))
+            members = sorted(rng.sample(range(n), rng.randint(1, n)))
+            core = self.core_of(g, members, params)
+            if not core:
+                empty += 1
+            elif len(core) < params.min_size:
+                small += 1
+            else:
+                large += 1
+        assert empty and small and large
+        # Deep peels: a 300-cycle with a 300-vertex tail, whose tail falls
+        # one vertex at a time from its free end at z = 2, and the same
+        # graph less vertex 0, a 599-vertex path with an empty core.
+        n = 600
+        edges = [f"{v} {(v + 1) % 300}" for v in range(300)]
+        edges += [f"{v} {v + 1}" for v in range(299, n - 1)]
+        g = load_graph(iter(edges), iter(str(v) for v in range(n)))
+        params = QuasiCliqueParams(Fraction(1, 2), 5)
+        assert params.z == 2
+        assert self.core_of(g, range(n), params) == list(range(300))
+        assert self.core_of(g, range(1, n), params) == []
+
+    def test_restricted_postings(self):
+        # The miner peels an attribute set's posting, filtered by the
+        # intersection of its parents' coverage sets.
+        rng = random.Random(77)
+        peeled = kept = 0
+        for _ in range(60):
+            n = rng.randint(20, 120)
+            g = random_attributed_graph(rng, n, rng.uniform(3.0, 15.0) / n, 2, attr_prob=0.6)
+            index = build_index(g)
+            params = QuasiCliqueParams(rng.choice(CORE_GAMMAS), rng.randint(3, 5))
+            restriction = set(rng.sample(range(n), rng.randint(0, n)))
+            for a in range(len(g.attribute_dictionary)):
+                posting = vertex_set(index, (a,))
+                members = tuple(v for v in posting if v in restriction)
+                core = self.core_of(g, members, params)
+                peeled += len(members) - len(core)
+                kept += len(core)
+        assert peeled and kept

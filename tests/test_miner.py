@@ -16,12 +16,16 @@ from scpm import (
     QuasiCliqueParams,
     SearchBudgetExceeded,
     build_index,
+    covered_vertices,
     frequent_attributes,
+    induced_view,
     load_graph,
+    normalized_delta,
     prune_extension,
     run_naive,
     run_scpm,
     structural_correlation,
+    vertex_prune,
     vertex_set,
 )
 
@@ -442,6 +446,16 @@ def planted_2000():
     return g, build_index(g)
 
 
+def _instance(request, name):
+    """Graph, index and config of example11, or of the planted n=2000
+    instance at the criterion-7 config."""
+    if name == "example11":
+        g, index = request.getfixturevalue("example_graph"), request.getfixturevalue("example_index")
+        return g, index, reference_config()
+    g, index = request.getfixturevalue("planted_2000")
+    return g, index, reference_config(sigma_min=100, eps_min=0.1, k=5)
+
+
 class TestSupportGate:
     """Posting lists are merged only for candidates whose bitset support
     reaches sigma_min, once per set scored, and both miners still agree."""
@@ -450,12 +464,7 @@ class TestSupportGate:
     def test_merges_only_frequent_candidates(self, instance, request, monkeypatch):
         import scpm.miner
 
-        if instance == "example11":
-            g, index = request.getfixturevalue("example_graph"), request.getfixturevalue("example_index")
-            cfg = reference_config()
-        else:
-            g, index = request.getfixturevalue("planted_2000")
-            cfg = reference_config(sigma_min=100, eps_min=0.1, k=5)
+        g, index, cfg = _instance(request, instance)
         merged = []
         real = scpm.miner.intersect_sorted
 
@@ -479,6 +488,45 @@ class TestSupportGate:
         assert sorted(fast.records, key=by_set) == sorted(slow.records, key=by_set)
         key = lambda p: (p.attribute_set, p.quasi_clique.vertices)
         assert sorted(fast.patterns, key=key) == sorted(slow.patterns, key=key)
+
+
+def unpeeled_structural_correlation(g, index, s, cfg, restriction, *, posting, null, stats):
+    """structural_correlation without the peel: search the whole view of the
+    posting, restricted when a restriction is given."""
+    members = posting if restriction is None else tuple(v for v in posting if v in restriction)
+    view = induced_view(g, members)
+    covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
+    support = len(posting)
+    eps = len(covered) / support
+    eps_exp = null.expected(support, stats=stats)
+    return CorrelationRecord(s, support, covered, eps, eps_exp, normalized_delta(eps, eps_exp))
+
+
+class TestPeelBeforeView:
+    """structural_correlation searches only the view of the members' z-core,
+    and that changes no record, pattern or expansion count."""
+
+    @pytest.mark.parametrize("instance", ["example11", "planted2000"])
+    def test_views_arrive_peeled(self, instance, request, monkeypatch):
+        import scpm.miner
+
+        g, index, cfg = _instance(request, instance)
+        views = []
+
+        def checking(view, params, **kwargs):
+            views.append(view)
+            assert vertex_prune(view, params) is view
+            return covered_vertices(view, params, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scpm.miner, "covered_vertices", checking)
+            peeled = run_scpm(g, index, cfg)
+        assert len(views) == peeled.stats.sets_visited
+        monkeypatch.setattr(scpm.miner, "structural_correlation", unpeeled_structural_correlation)
+        whole = run_scpm(g, index, cfg)
+        assert peeled.records == whole.records
+        assert peeled.patterns == whole.patterns
+        assert peeled.stats == whole.stats
 
 
 class TestConfigValidation:

@@ -23,7 +23,6 @@ from scpm import (
     normalized_delta,
     sample_prob,
     sim_eps_exp,
-    vertex_prune,
 )
 
 from oracles import exact_expected_bound, random_attributed_graph
@@ -180,38 +179,6 @@ class TestSimEpsExp:
             bound = max_eps_exp(hist, sigma, P06_4, 30)
             slack = 3 * sim.std_dev / math.sqrt(cfg.samples)
             assert sim.value <= bound.value + slack
-
-    def test_core_matches_vertex_prune(self):
-        rng = random.Random(2024)
-        empty = small = large = 0
-        for _ in range(120):
-            n = rng.randint(20, 200)
-            g = random_attributed_graph(rng, n, rng.uniform(1.5, 12.0) / n, 1)
-            params = QuasiCliqueParams(rng.choice(CORE_GAMMAS), rng.randint(3, 5))
-            members = sorted(rng.sample(range(n), rng.randint(1, n)))
-            core = nm._z_core(g.adjacency, members, params.z)
-            assert tuple(core) == vertex_prune(induced_view(g, members), params).members
-            if not core:
-                empty += 1
-            elif len(core) < params.min_size:
-                small += 1
-            else:
-                large += 1
-        assert empty and small and large
-        # Deep peels: a 300-cycle with a 300-vertex tail, whose tail falls
-        # one vertex at a time from its free end at z = 2, and the same
-        # graph less vertex 0, a 599-vertex path with an empty core.
-        n = 600
-        edges = [f"{v} {(v + 1) % 300}" for v in range(300)]
-        edges += [f"{v} {v + 1}" for v in range(299, n - 1)]
-        g = load_graph(iter(edges), iter(str(v) for v in range(n)))
-        params = QuasiCliqueParams(Fraction(1, 2), 5)
-        assert params.z == 2
-        members = range(n)
-        core = nm._z_core(g.adjacency, members, params.z)
-        assert list(core) == list(range(300))
-        assert tuple(core) == vertex_prune(induced_view(g, members), params).members
-        assert nm._z_core(g.adjacency, range(1, n), params.z) == []
 
     def test_matches_search_of_whole_samples(self):
         rng = random.Random(31)
