@@ -3,8 +3,8 @@
 Both miners share one walk of the attribute-set lattice (``_Walk``),
 depth-first by equivalence class: frontier entries are ordered by ascending
 support (ties by id) and each entry unions with its earlier siblings to
-form the next class. The miners differ only in the policy that scores one
-attribute set and decides whether to extend it.
+form the next class. The miners differ only in the policy that searches
+one attribute set, finds its patterns and decides whether to extend it.
 
 Support is counted before any posting list is merged. Each frontier entry
 also carries its posting as an int bitset (bit v set for vertex v), built
@@ -15,7 +15,7 @@ forming its attribute set; only candidates that pass are merged into the
 sorted posting the rest of the pipeline reads.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
-four prunings:
+five prunings, the last of which the exhaustive one shares:
 
 * each child's quasi-clique search is restricted to the intersection of its
   parents' coverage sets (no quasi-clique can leave them),
@@ -28,7 +28,12 @@ four prunings:
   can recover from either once violated,
 * coverage-set computation walks exhaustively from each still-uncovered
   root, greedy-first, and top-k extraction searches only the view of the
-  set's coverage set.
+  set's coverage set,
+* the null model, whose simulation searches ``samples`` random subgraphs
+  per support, is consulted only for a set whose eps = covered_count /
+  support reaches eps_min: eps_exp enters only delta, and a set below
+  eps_min is not recorded whatever its delta. Such a set gets no record,
+  and whether it is extended depends on its coverage set alone.
 
 The exhaustive baseline extends every frequent attribute set, fully
 enumerates the quasi-cliques of each induced graph, and applies the same
@@ -116,7 +121,12 @@ class PatternRecord:
 
 @dataclass
 class MinerStats:
-    """Counters for one run: visited sets, engine expansions, aborted sets."""
+    """Counters for one run: visited sets, engine expansions, aborted sets.
+
+    ``expansions`` counts the searches of every visited set's view, of its
+    top-k patterns, and of the simulation samples drawn for the supports
+    that were scored, i.e. of sets whose eps reached eps_min.
+    """
 
     sets_visited: int = 0
     expansions: int = 0
@@ -159,6 +169,40 @@ def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
     return NullModel(g, cfg.qc_params, cfg.null_model, budget=cfg.expansion_budget)
 
 
+def _coverage(
+    g: AttributedGraph,
+    posting: tuple[int, ...],
+    cfg: MinerConfig,
+    restriction: frozenset[int] | set[int] | None,
+    stats: SearchStats | None,
+) -> tuple[int, ...]:
+    """Coverage set of the posting, searched on the view of the z-core of
+    its members (the posting, filtered by ``restriction`` when one is
+    given). The engine peels any view to that same unique core before it
+    searches, so the coverage set and the expansions equal those of a
+    search of the whole view."""
+    if restriction is None:
+        members = posting
+    else:
+        members = tuple(v for v in posting if v in restriction)
+    view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
+    return covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
+
+
+def _score(
+    s: tuple[int, ...],
+    support: int,
+    covered: tuple[int, ...],
+    null: NullModel,
+    stats: SearchStats | None,
+) -> CorrelationRecord:
+    """Record of a set with this support and coverage set: eps, the null
+    model's eps_exp at the support, and their normalized delta."""
+    eps = len(covered) / support
+    eps_exp = null.expected(support, stats=stats)
+    return CorrelationRecord(s, support, covered, eps, eps_exp, normalized_delta(eps, eps_exp))
+
+
 def structural_correlation(
     g: AttributedGraph,
     index: AttributeIndex,
@@ -175,43 +219,28 @@ def structural_correlation(
     Support counts the full induced vertex set. The quasi-clique search runs
     on the posting, restricted to ``restriction`` when one is supplied
     (sound whenever the restriction contains every coverage set of a subset
-    of s), and only on the view of those members' z-core. The engine peels
-    any view to that same unique core before it searches, so the coverage
-    set and the expansions equal those of a search of the whole view.
+    of s), and only on the view of those members' z-core. The record is
+    scored against the null model whatever its eps; the miners consult the
+    null model only for a set whose eps reaches eps_min.
     """
     s = tuple(sorted(set(s)))
     if posting is None:
         posting = vertex_set(index, s)
-    support = len(posting)
-    if support < 1:
+    if not posting:
         raise ValueError(f"attribute set {s} has no supporting vertices")
-    if restriction is None:
-        members = posting
-    else:
-        members = tuple(v for v in posting if v in restriction)
-    view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
-    covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
-    eps = len(covered) / support
+    covered = _coverage(g, posting, cfg, restriction, stats)
     if null is None:
         null = _null_model(g, cfg)
-    eps_exp = null.expected(support, stats=stats)
-    delta = normalized_delta(eps, eps_exp)
-    return CorrelationRecord(
-        attribute_set=s,
-        support=support,
-        covered=covered,
-        eps=eps,
-        eps_exp=eps_exp,
-        delta=delta,
-    )
+    return _score(s, len(posting), covered, null, stats)
 
 
 def prune_extension(
-    rec: CorrelationRecord,
+    covered: tuple[int, ...],
     cfg: MinerConfig,
     eps_exp_at_sigma_min: ExpectedCorrelation | None = None,
 ) -> bool:
-    """True when ``rec``'s attribute set may still have qualifying supersets.
+    """True when an attribute set with coverage set ``covered`` may still
+    have qualifying supersets.
 
     A superset with support s >= sigma_min covers at most covered_count of
     this set's vertices, so its eps is at most covered_count / sigma_min.
@@ -226,7 +255,7 @@ def prune_extension(
       analytical model and not of the simulation; pass None to gate on eps
       alone.
     """
-    bound = len(rec.covered) / cfg.sigma_min
+    bound = len(covered) / cfg.sigma_min
     if bound < cfg.eps_min:
         return False
     floor = eps_exp_at_sigma_min
@@ -250,21 +279,26 @@ def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
-    ``evaluate(attrs, posting, restriction, engine_stats)`` scores one set
-    and returns its record, its patterns (kept only if the record
-    qualifies) and whether to extend it. ``restriction`` is None for a
-    singleton, else the intersection of the two parents' coverage sets.
-    Records and patterns accumulate in discovery order. A set whose search
-    overflows the budget is logged and dropped with its subtree, unless
-    fail_fast re-raises.
+    ``evaluate(attrs, posting, restriction, engine_stats)`` searches one set
+    and returns its coverage set, whether to extend it, and a callable that
+    yields its patterns. ``restriction`` is None for a singleton, else the
+    intersection of the two parents' coverage sets. Only a set whose eps
+    reaches eps_min can qualify, so only such a set is scored against the
+    null model; it is recorded, with its patterns, when its delta reaches
+    delta_min as well. Records and patterns accumulate in discovery order.
+    A set whose search, sample search or pattern search overflows the
+    budget is logged and dropped with its subtree, unless fail_fast
+    re-raises.
     """
 
     def __init__(
         self,
         cfg: MinerConfig,
-        evaluate: Callable[..., tuple[CorrelationRecord, list[PatternRecord], bool]],
+        null: NullModel,
+        evaluate: Callable[..., tuple[tuple[int, ...], bool, Callable[[], list[QuasiClique]]]],
     ):
         self.cfg = cfg
+        self.null = null
         self.evaluate = evaluate
         self.records: list[CorrelationRecord] = []
         self.patterns: list[PatternRecord] = []
@@ -285,31 +319,38 @@ class _Walk:
         return MiningResult(self.records, self.patterns, self.stats)
 
     def _visit(self, attrs, posting, mask, restriction, frontier: list[_Entry]):
-        """Score one set; append it to ``frontier`` if it is to be extended.
+        """Search one set, score it if its eps reaches eps_min, and append
+        it to ``frontier`` if it is to be extended.
 
         ``mask`` is the posting's bitset, or None for a singleton, whose
         bitset is built only once it joins the frontier.
         """
+        cfg = self.cfg
         stats = self.stats
         engine_stats = SearchStats()
+        cliques = None
         try:
-            rec, pats, extend = self.evaluate(attrs, posting, restriction, engine_stats)
+            covered, extend, patterns = self.evaluate(attrs, posting, restriction, engine_stats)
+            if len(covered) / len(posting) >= cfg.eps_min:
+                rec = _score(attrs, len(posting), covered, self.null, engine_stats)
+                if _qualifies(rec, cfg):
+                    cliques = patterns()
         except SearchBudgetExceeded as exc:
             stats.expansions += engine_stats.expansions
             stats.overflow_sets.append(attrs)
             logger.warning("attribute set %s aborted: %s", attrs, exc)
-            if self.cfg.fail_fast:
+            if cfg.fail_fast:
                 raise
             return
         stats.expansions += engine_stats.expansions
         stats.sets_visited += 1
-        if _qualifies(rec, self.cfg):
+        if cliques is not None:
             self.records.append(rec)
-            self.patterns.extend(pats)
+            self.patterns.extend(PatternRecord(attrs, q) for q in cliques)
         if extend:
             if mask is None:
                 mask = _bitset(posting)
-            frontier.append(_Entry(attrs, posting, mask, frozenset(rec.covered)))
+            frontier.append(_Entry(attrs, posting, mask, frozenset(covered)))
 
     def _extend(self, entries: list[_Entry], i: int):
         """Union entry i with every earlier sibling, then recurse per class.
@@ -341,29 +382,27 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     satisfies eps >= eps_min and delta >= delta_min, plus its top-k patterns,
     in depth-first discovery order. Sets failing the extension tests are
     reported (when they qualify) but never extended. A search that
-    overflows, on the set's view or on a simulation sample, drops that set
-    unreported and unextended unless fail_fast is set.
+    overflows, on the set's view or on a simulation sample drawn to score
+    it, drops that set unreported and unextended unless fail_fast is set.
     """
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
     def evaluate(attrs, posting, restriction, engine_stats):
-        rec = structural_correlation(
-            g, index, attrs, cfg, restriction, posting=posting, null=null, stats=engine_stats
-        )
-        pats: list[PatternRecord] = []
-        if _qualifies(rec, cfg):
+        covered = _coverage(g, posting, cfg, restriction, engine_stats)
+
+        def patterns():
             # Every quasi-clique of the set's view lies in its coverage set,
             # so the view on that set has the same maximal family.
-            view = induced_view(g, rec.covered)
-            cliques = top_k_patterns(
+            view = induced_view(g, covered)
+            return top_k_patterns(
                 view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=engine_stats
             )
-            pats = [PatternRecord(attrs, q) for q in cliques]
-        floor = null.expected(cfg.sigma_min) if gate_delta else None
-        return rec, pats, prune_extension(rec, cfg, floor)
 
-    return _Walk(cfg, evaluate).run(g, index)
+        floor = null.expected(cfg.sigma_min) if gate_delta else None
+        return covered, prune_extension(covered, cfg, floor), patterns
+
+    return _Walk(cfg, null, evaluate).run(g, index)
 
 
 def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> MiningResult:
@@ -372,7 +411,6 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
     Semantically equivalent filtered output to run_scpm; intended for small
     inputs, cross-validation, and benchmark comparisons.
     """
-    null = _null_model(g, cfg)
 
     def evaluate(attrs, posting, restriction, engine_stats):
         view = induced_view(g, posting)
@@ -380,11 +418,6 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
             view, cfg.qc_params, budget=cfg.expansion_budget, stats=engine_stats
         )
         covered = tuple(sorted({v for q in cliques for v in q.vertices}))
-        support = len(posting)
-        eps = len(covered) / support
-        eps_exp = null.expected(support, stats=engine_stats)
-        rec = CorrelationRecord(attrs, support, covered, eps, eps_exp, normalized_delta(eps, eps_exp))
-        top = cliques if cfg.k is None else cliques[: cfg.k]
-        return rec, [PatternRecord(attrs, q) for q in top], True
+        return covered, True, lambda: cliques if cfg.k is None else cliques[: cfg.k]
 
-    return _Walk(cfg, evaluate).run(g, index)
+    return _Walk(cfg, _null_model(g, cfg), evaluate).run(g, index)

@@ -148,7 +148,9 @@ def sim_eps_exp(
     scores 0 without a search. Searching the core gives the same coverage
     and the same expansions as searching the whole sample, since the engine
     peels to the same core first. The expansions of every sample search,
-    including one that overflows, are added to ``stats``.
+    including one that overflows, are added to ``stats``. The miners ask
+    for a support only to score a set whose eps reaches eps_min, so their
+    ``expansions`` count the samples of those supports alone.
     """
     if cfg.kind != SIMULATION:
         raise ValueError("sim_eps_exp requires a simulation-kind config")
@@ -199,7 +201,9 @@ class NullModel:
     simulation searches its samples with the run's expansion ``budget``; a
     sample that overflows raises SearchBudgetExceeded, and every later
     request for that support raises it again without searching, since the
-    same samples would overflow the same budget.
+    same samples would overflow the same budget. The miners call
+    ``expected`` only for a set whose eps reaches eps_min, so the supports
+    of the other sets are never simulated.
     """
 
     def __init__(

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import random
@@ -18,9 +19,7 @@ from scpm import (
     build_index,
     covered_vertices,
     frequent_attributes,
-    induced_view,
     load_graph,
-    normalized_delta,
     prune_extension,
     run_naive,
     run_scpm,
@@ -108,12 +107,12 @@ class TestPruneExtension:
         cfg = reference_config()
         rec = structural_correlation(example_graph, example_index, (example_ids.A,), cfg)
         # covered_count = 9 >= 0.5 * 3
-        assert prune_extension(rec, cfg, ExpectedCorrelation(0.0, ANALYTICAL))
+        assert prune_extension(rec.covered, cfg, ExpectedCorrelation(0.0, ANALYTICAL))
 
     def test_zero_eps_pruned_when_thresholds_positive(self):
         rec = CorrelationRecord((0,), 10, (), 0.0, ExpectedCorrelation(0.1, ANALYTICAL), 0.0)
         cfg = reference_config(eps_min=0.1)
-        assert not prune_extension(rec, cfg, ExpectedCorrelation(0.1, ANALYTICAL))
+        assert not prune_extension(rec.covered, cfg, ExpectedCorrelation(0.1, ANALYTICAL))
 
     def test_matches_independent_arithmetic(self):
         rng = random.Random(55)
@@ -138,7 +137,7 @@ class TestPruneExtension:
             expected = (eps * support >= eps_min * sigma_min) and (
                 eps * support >= delta_min * floor_value * sigma_min
             )
-            assert prune_extension(rec, cfg, floor) == expected
+            assert prune_extension(rec.covered, cfg, floor) == expected
 
     def test_eps_gate_exact_at_float_boundary(self):
         # eps(A|B) = 7/25 == 0.28 exactly, but 0.28 * 25 rounds above 7: a
@@ -439,6 +438,39 @@ class TestOverflowHandling:
         assert sorted(result.stats.overflow_sets) == [(ids("even"),), (ids("odd"),)]
         assert result.records == []
 
+    @pytest.mark.parametrize("mine", [run_scpm, run_naive], ids=["scpm", "naive"])
+    def test_set_below_eps_min_draws_no_samples(self, mine, monkeypatch):
+        # The samples drawn for support 8 overflow budget 3, but even and
+        # odd induce no edge: eps 0 is below eps_min, so no eps_exp can
+        # change their records and no sample is drawn to abort them.
+        import scpm.nullmodel
+
+        cycle = [(v, (v + 1) % 16) for v in range(16)]
+        g = _graph(cycle, lambda v: ["odd" if v % 2 else "even"], 16)
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1, 2), 3),
+            sigma_min=1,
+            eps_min=0.1,
+            k=1,
+            expansion_budget=3,
+            null_model=NullModelConfig(kind=SIMULATION, samples=5, seed=0),
+        )
+        simulated = []
+        real = scpm.nullmodel.sim_eps_exp
+
+        def counting(graph, sigma, *args, **kwargs):
+            simulated.append(sigma)
+            return real(graph, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(scpm.nullmodel, "sim_eps_exp", counting)
+        result = mine(g, index, cfg)
+        other = (run_naive if mine is run_scpm else run_scpm)(g, index, cfg)
+        assert simulated == []
+        assert result.stats.overflow_sets == other.stats.overflow_sets == []
+        assert result.stats.sets_visited == 2
+        assert result.records == other.records == []
+
 
 @pytest.fixture(scope="module")
 def planted_2000():
@@ -490,43 +522,108 @@ class TestSupportGate:
         assert sorted(fast.patterns, key=key) == sorted(slow.patterns, key=key)
 
 
-def unpeeled_structural_correlation(g, index, s, cfg, restriction, *, posting, null, stats):
-    """structural_correlation without the peel: search the whole view of the
-    posting, restricted when a restriction is given."""
-    members = posting if restriction is None else tuple(v for v in posting if v in restriction)
-    view = induced_view(g, members)
-    covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
-    support = len(posting)
-    eps = len(covered) / support
-    eps_exp = null.expected(support, stats=stats)
-    return CorrelationRecord(s, support, covered, eps, eps_exp, normalized_delta(eps, eps_exp))
-
-
 class TestPeelBeforeView:
-    """structural_correlation searches only the view of the members' z-core,
-    and that changes no record, pattern or expansion count."""
+    """The miner searches only the view of the members' z-core, and that
+    changes no record, pattern or expansion count."""
 
     @pytest.mark.parametrize("instance", ["example11", "planted2000"])
     def test_views_arrive_peeled(self, instance, request, monkeypatch):
         import scpm.miner
 
         g, index, cfg = _instance(request, instance)
-        views = []
+        peeled_views = []
 
         def checking(view, params, **kwargs):
-            views.append(view)
-            assert vertex_prune(view, params) is view
+            peeled_views.append(vertex_prune(view, params) is view)
             return covered_vertices(view, params, **kwargs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(scpm.miner, "covered_vertices", checking)
-            peeled = run_scpm(g, index, cfg)
-        assert len(views) == peeled.stats.sets_visited
-        monkeypatch.setattr(scpm.miner, "structural_correlation", unpeeled_structural_correlation)
+        monkeypatch.setattr(scpm.miner, "covered_vertices", checking)
+        peeled = run_scpm(g, index, cfg)
+        assert len(peeled_views) == peeled.stats.sets_visited
+        assert all(peeled_views)
+        # A peel that keeps every member searches the whole (restricted)
+        # view of each posting.
+        peeled_views.clear()
+        monkeypatch.setattr(scpm.miner, "z_core", lambda adjacency, members, z: members)
         whole = run_scpm(g, index, cfg)
+        assert not all(peeled_views)
         assert peeled.records == whole.records
         assert peeled.patterns == whole.patterns
         assert peeled.stats == whole.stats
+
+
+def _eager_walk(seen):
+    """A lattice walk that scores every visited set against the null model,
+    whatever its eps, and logs each set's (support, eps) in ``seen``."""
+    import scpm.miner
+
+    class Eager(scpm.miner._Walk):
+        def __init__(self, cfg, null, evaluate):
+            def scored(attrs, posting, restriction, stats):
+                out = evaluate(attrs, posting, restriction, stats)
+                seen.append((len(posting), len(out[0]) / len(posting)))
+                null.expected(len(posting), stats=stats)
+                return out
+
+            super().__init__(cfg, null, scored)
+
+    return Eager
+
+
+class TestScoreOnlyQualifyingEps:
+    """The null model is consulted only for sets whose eps reaches eps_min,
+    and that changes no record, pattern or visit count."""
+
+    # Besides 0 and 0.1, eps_min is c / sigma_min: a set of support
+    # sigma_min that covers c vertices sits exactly at the threshold, as the
+    # planted blocks of support 100 covering 12 do. Every set is scored at
+    # eps_min 0, where each miner takes seconds on the planted instance, so
+    # that case runs on example11; the exhaustive miner takes seconds at any
+    # eps_min there, so it runs only at the boundary.
+    @pytest.mark.parametrize(
+        ("mine", "instance", "eps_mins"),
+        [
+            pytest.param(run_scpm, "example11", (0.0, 0.1, 1 / 3), id="scpm-example11"),
+            pytest.param(run_naive, "example11", (0.0, 0.1, 1 / 3), id="naive-example11"),
+            pytest.param(run_scpm, "planted2000", (0.1, 12 / 100), id="scpm-planted2000"),
+            pytest.param(run_naive, "planted2000", (12 / 100,), id="naive-planted2000"),
+        ],
+    )
+    def test_simulates_only_supports_that_can_qualify(
+        self, mine, instance, eps_mins, request, monkeypatch
+    ):
+        import scpm.miner
+        import scpm.nullmodel
+
+        g, index, cfg = _instance(request, instance)
+        simulated = []
+        real = scpm.nullmodel.sim_eps_exp
+
+        def counting(graph, sigma, *args, **kwargs):
+            simulated.append(sigma)
+            return real(graph, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(scpm.nullmodel, "sim_eps_exp", counting)
+        for eps_min in eps_mins:
+            run_cfg = dataclasses.replace(
+                cfg,
+                eps_min=eps_min,
+                null_model=NullModelConfig(kind=SIMULATION, samples=5, seed=0),
+            )
+            seen = []
+            with monkeypatch.context() as patch:
+                patch.setattr(scpm.miner, "_Walk", _eager_walk(seen))
+                eager = mine(g, index, run_cfg)
+            simulated.clear()
+            lazy = mine(g, index, run_cfg)
+            supports = {support for support, _ in seen}
+            scored = {support for support, eps in seen if eps >= eps_min}
+            assert sorted(simulated) == sorted(scored)
+            if eps_min > 0.0:
+                assert scored < supports
+            assert lazy.records == eager.records
+            assert lazy.patterns == eager.patterns
+            assert lazy.stats.sets_visited == eager.stats.sets_visited == len(seen)
 
 
 class TestConfigValidation:
@@ -562,7 +659,7 @@ class TestPruningSoundness:
                 continue
             floor = null.expected(cfg.sigma_min)
             for attrs, rec in by_attrs.items():
-                if rec.support < cfg.sigma_min or prune_extension(rec, cfg, floor):
+                if rec.support < cfg.sigma_min or prune_extension(rec.covered, cfg, floor):
                     continue
                 for sup_attrs, sup in by_attrs.items():
                     if not set(attrs) < set(sup_attrs) or sup.support < cfg.sigma_min:
