@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .graph import AttributedGraph, GraphFormatError, GraphView, induced_view, load_graph
-from .index import build_index, vertex_set
+from .index import AttributeIndex, build_index, vertex_set
 from .miner import MinerConfig, MiningResult, PatternRecord, run_naive, run_scpm
 from .nullmodel import ANALYTICAL, SIMULATION, NullModelConfig
 from .quasiclique import DEFAULT_EXPANSION_BUDGET, QuasiCliqueParams, SearchBudgetExceeded
@@ -372,10 +372,11 @@ def _block_label(param: str, value) -> str:
     return f"{param}={value}"
 
 
-def _write_dot_exports(out_dir: str, result: MiningResult, g: AttributedGraph):
+def _write_dot_exports(
+    out_dir: str, result: MiningResult, g: AttributedGraph, index: AttributeIndex
+):
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    index = build_index(g)
     labels = {v: g.original_id(v) for v in range(g.vertex_count)}
     for i, pat in enumerate(result.patterns):
         members = vertex_set(index, pat.attribute_set)
@@ -438,7 +439,7 @@ def _run(args) -> int:
     Path(args.out_records).write_text(g_text)
     Path(args.out_patterns).write_text(p_text)
     if args.export_dot and result_for_dot is not None:
-        _write_dot_exports(args.export_dot, result_for_dot, g)
+        _write_dot_exports(args.export_dot, result_for_dot, g, index)
     timings["write_s"] = time.perf_counter() - t0
 
     warnings = {"self_loops_dropped": g.dropped_self_loops, "overflow_sets": overflow}

