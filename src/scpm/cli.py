@@ -42,6 +42,19 @@ _SWEEP_PARAMS = {
 }
 
 
+# Config field -> the flag that sets it. A config's ValueError starts with
+# the field's name, and the usage error names the flag instead.
+_FLAG_OF_FIELD = {
+    "sigma_min": "--sigma-min",
+    "min_size": "--min-size",
+    "eps_min": "--eps-min",
+    "delta_min": "--delta-min",
+    "samples": "--samples",
+    "max_set_size": "--max-set-size",
+    "expansion_budget": "--max-expansions",
+}
+
+
 class UsageError(Exception):
     """Bad flags or flag values; maps to exit code 1."""
 
@@ -149,7 +162,9 @@ def _config_from_args(args) -> MinerConfig:
             fail_fast=args.fail_fast,
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        field, _, rest = str(exc).partition(" ")
+        flag = _FLAG_OF_FIELD.get(field)
+        raise UsageError(f"{flag} {rest}" if flag else str(exc)) from None
 
 
 def _with_value(cfg: MinerConfig, param: str, value) -> MinerConfig:
@@ -386,6 +401,19 @@ def _write_dot_exports(
         (directory / f"pattern_{i:04d}.dot").write_text(text)
 
 
+def _decode_error(*paths: str) -> GraphFormatError:
+    """The input error for the first line that is not UTF-8, searching the
+    files in the order the loader reads them."""
+    for path in paths:
+        with open(path, "rb") as fh:
+            for line_number, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return GraphFormatError(f"not UTF-8 text: {exc.reason}", path, line_number)
+    return GraphFormatError(f"{' or '.join(paths)} is not UTF-8 text")
+
+
 def _run(args) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="scpm: %(message)s")
     cfg = _config_from_args(args)
@@ -393,10 +421,15 @@ def _run(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        with open(args.graph) as edge_fh, open(args.attributes) as attr_fh:
+        with (
+            open(args.graph, encoding="utf-8") as edge_fh,
+            open(args.attributes, encoding="utf-8") as attr_fh,
+        ):
             g = load_graph(edge_fh, attr_fh)
     except OSError as exc:
         raise GraphFormatError(str(exc)) from None
+    except UnicodeDecodeError:
+        raise _decode_error(args.graph, args.attributes) from None
     timings["load_s"] = time.perf_counter() - t0
     if g.dropped_self_loops:
         print(f"scpm: dropped {g.dropped_self_loops} self-loop(s)", file=sys.stderr)

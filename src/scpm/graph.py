@@ -4,7 +4,13 @@ the z-core peel that decides which members a view needs.
 The graph is immutable after loading: adjacency is a list of strictly sorted
 neighbor tuples over dense vertex ids 0..n-1, and every vertex carries a
 sorted tuple of dense attribute ids. Original file ids (arbitrary
-non-negative integers) are remapped on load; ``external_ids`` maps back.
+non-negative integers) are remapped on load unless they already are
+0..n-1; ``external_ids`` maps back.
+
+``load_graph`` reads each line on a fast path (``split`` and ``int``, with
+the id range checked inline) and hands only the lines that fail it to the
+checked parser, which skips blank and comment lines and raises every
+``GraphFormatError`` with its message and line number.
 """
 
 from __future__ import annotations
@@ -37,14 +43,6 @@ class AttributeDictionary:
 
     id_to_token: list[str] = field(default_factory=list)
     token_to_id: dict[str, int] = field(default_factory=dict)
-
-    def intern(self, token: str) -> int:
-        attr_id = self.token_to_id.get(token)
-        if attr_id is None:
-            attr_id = len(self.id_to_token)
-            self.token_to_id[token] = attr_id
-            self.id_to_token.append(token)
-        return attr_id
 
     def id_for(self, token: str) -> int | None:
         return self.token_to_id.get(token)
@@ -145,6 +143,39 @@ def _parse_vertex_id(token: str, source: str, line_number: int) -> int:
     return value
 
 
+def _checked_edge_line(raw: str, line_number: int) -> tuple[int, int] | None:
+    """The ids of an edge line, None for a blank or comment line, or the
+    ``GraphFormatError`` of its first fault."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphFormatError(
+            f"expected two vertex ids, got {len(parts)} fields", "edge source", line_number
+        )
+    u = _parse_vertex_id(parts[0], "edge source", line_number)
+    v = _parse_vertex_id(parts[1], "edge source", line_number)
+    return u, v
+
+
+def _checked_attribute_line(raw: str, line_number: int) -> int | None:
+    """The vertex id of an attribute line, None for a blank or comment line,
+    or the ``GraphFormatError`` of its id."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    return _parse_vertex_id(line.split()[0], "attribute source", line_number)
+
+
+class _TokenIds(dict):
+    """Token -> dense id, handing out the next id to a token on first sight."""
+
+    def __missing__(self, token: str) -> int:
+        attr_id = self[token] = len(self)
+        return attr_id
+
+
 def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> AttributedGraph:
     """Build a validated graph from an edge line stream and an attribute line stream.
 
@@ -153,69 +184,87 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
     blank lines are ignored. Duplicate edges are deduplicated silently;
     self-loops are dropped and counted. Vertices seen only in the attribute
     source exist with empty adjacency, and an empty edge source is legal.
-    """
-    edges: set[tuple[int, int]] = set()
-    vertices: set[int] = set()
-    self_loops = 0
 
+    Each line is first read on a fast path: ``split()``, ``int()`` on the
+    ids and an inline range check. A line that fails it (blank, comment,
+    wrong field count, non-integer or out-of-range id) is read again by the
+    checked parser, which skips it or raises the ``GraphFormatError`` of its
+    first fault. Both paths parse ids with ``int()``, so they accept the same
+    spellings, and the checked parser sees every line the fast path refuses,
+    in file order, so every error keeps its message and line number.
+    Endpoints are kept in two int lists and merged in per-vertex sets, and
+    each attribute token is interned once, on first sight, so token ids
+    follow first appearance in the file. Ids map to dense ids through a
+    dict, or through ``range(n)`` when they already are 0..n-1, so each
+    vertex is one shared int object wherever the graph holds it.
+    """
+    top = MAX_VERTEX_ID
+    us: list[int] = []
+    vs: list[int] = []
     for line_number, raw in enumerate(edge_source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(
-                f"expected two vertex ids, got {len(parts)} fields", "edge source", line_number
-            )
-        u = _parse_vertex_id(parts[0], "edge source", line_number)
-        v = _parse_vertex_id(parts[1], "edge source", line_number)
-        vertices.add(u)
-        vertices.add(v)
+        try:
+            u, v = map(int, raw.split())
+        except ValueError:
+            pass
+        else:
+            if 0 <= u <= top and 0 <= v <= top:
+                us.append(u)
+                vs.append(v)
+                continue
+        ids = _checked_edge_line(raw, line_number)
+        if ids is not None:
+            us.append(ids[0])
+            vs.append(ids[1])
+
+    token_ids = _TokenIds()
+    to_id = token_ids.__getitem__
+    buckets: dict[int, set[int]] = {}
+    for line_number, raw in enumerate(attribute_source, start=1):
+        parts = raw.split()
+        try:
+            v = int(parts[0])
+        except (IndexError, ValueError):
+            v = -1
+        if not 0 <= v <= top:
+            v = _checked_attribute_line(raw, line_number)
+            if v is None:
+                continue
+        bucket = buckets.get(v)
+        if bucket is None:
+            bucket = buckets[v] = set()
+        bucket.update(map(to_id, parts[1:]))
+
+    vertices = set(us)
+    vertices.update(vs)
+    vertices.update(buckets)
+    n = len(vertices)
+    if n and max(vertices) != n - 1:
+        original_ids = tuple(sorted(vertices))
+        dense = {orig: i for i, orig in enumerate(original_ids)}.__getitem__
+    else:
+        original_ids = tuple(range(n))
+        dense = original_ids.__getitem__
+
+    self_loops = 0
+    adjacency: list = [set() for _ in range(n)]
+    for u, v in zip(map(dense, us), map(dense, vs)):
         if u == v:
             self_loops += 1
-            continue
-        edges.add((u, v) if u < v else (v, u))
-
-    raw_attrs: dict[int, set[str]] = {}
-    dictionary = AttributeDictionary()
-    attr_order: list[tuple[int, str]] = []
-    for line_number, raw in enumerate(attribute_source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        v = _parse_vertex_id(parts[0], "attribute source", line_number)
-        vertices.add(v)
-        bucket = raw_attrs.setdefault(v, set())
-        for token in parts[1:]:
-            if token not in bucket:
-                bucket.add(token)
-                attr_order.append((v, token))
-
-    original_ids = tuple(sorted(vertices))
-    dense = {orig: i for i, orig in enumerate(original_ids)}
-    n = len(original_ids)
-
-    # Token ids in first-seen (file-order) sequence.
-    for _, token in attr_order:
-        dictionary.intern(token)
-
-    adjacency_sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        du, dv = dense[u], dense[v]
-        adjacency_sets[du].add(dv)
-        adjacency_sets[dv].add(du)
-    adjacency = [tuple(sorted(s)) for s in adjacency_sets]
+        else:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    for v, nbrs in enumerate(adjacency):  # in place: the sets go as the tuples come
+        adjacency[v] = tuple(sorted(nbrs))
 
     attributes: list[tuple[int, ...]] = [()] * n
-    for orig, tokens in raw_attrs.items():
-        attributes[dense[orig]] = tuple(sorted(dictionary.token_to_id[t] for t in tokens))
+    for v, bucket in buckets.items():
+        attributes[dense(v)] = tuple(sorted(bucket))
 
     return AttributedGraph(
         vertex_count=n,
         adjacency=adjacency,
         attributes=attributes,
-        attribute_dictionary=dictionary,
+        attribute_dictionary=AttributeDictionary(id_to_token=list(token_ids), token_to_id=dict(token_ids)),
         external_ids=original_ids,
         dropped_self_loops=self_loops,
     )

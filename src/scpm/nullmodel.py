@@ -58,7 +58,7 @@ class NullModelConfig:
         if self.kind not in (ANALYTICAL, SIMULATION):
             raise ValueError(f"unknown null model kind {self.kind!r}")
         if self.kind == SIMULATION and self.samples < 1:
-            raise ValueError("simulation requires at least one sample")
+            raise ValueError("samples must be at least 1 for the simulation null model")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from scpm import GraphView, load_graph
+from scpm.graph import MAX_VERTEX_ID, AttributeDictionary, AttributedGraph, GraphFormatError
 
 
 def degree_need(gamma: Fraction, size: int) -> int:
@@ -84,6 +86,97 @@ def exact_expected_bound(counts: dict[int, int], n: int, sigma: int, gamma: Frac
             tail += math.comb(alpha, beta) * rho**beta * (1 - rho) ** (alpha - beta)
         total += p_alpha * tail
     return total
+
+
+def _reference_vertex_id(token: str, source: str, line_number: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphFormatError(f"expected a vertex id, got {token!r}", source, line_number) from None
+    if value < 0:
+        raise GraphFormatError(f"vertex id must be non-negative, got {value}", source, line_number)
+    if value > MAX_VERTEX_ID:
+        raise GraphFormatError(f"vertex id {value} overflows the supported range", source, line_number)
+    return value
+
+
+def reference_load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> AttributedGraph:
+    """The set-based loader ``load_graph`` replaced, kept as its reference:
+    same graph, same ``GraphFormatError`` text and line number.
+
+    Edge lines hold two whitespace-separated vertex ids; attribute lines hold
+    a vertex id followed by attribute tokens. Lines starting with ``#`` and
+    blank lines are ignored. Duplicate edges are deduplicated silently;
+    self-loops are dropped and counted. Vertices seen only in the attribute
+    source exist with empty adjacency, and an empty edge source is legal.
+    """
+    edges: set[tuple[int, int]] = set()
+    vertices: set[int] = set()
+    self_loops = 0
+
+    for line_number, raw in enumerate(edge_source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"expected two vertex ids, got {len(parts)} fields", "edge source", line_number
+            )
+        u = _reference_vertex_id(parts[0], "edge source", line_number)
+        v = _reference_vertex_id(parts[1], "edge source", line_number)
+        vertices.add(u)
+        vertices.add(v)
+        if u == v:
+            self_loops += 1
+            continue
+        edges.add((u, v) if u < v else (v, u))
+
+    raw_attrs: dict[int, set[str]] = {}
+    dictionary = AttributeDictionary()
+    attr_order: list[tuple[int, str]] = []
+    for line_number, raw in enumerate(attribute_source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        v = _reference_vertex_id(parts[0], "attribute source", line_number)
+        vertices.add(v)
+        bucket = raw_attrs.setdefault(v, set())
+        for token in parts[1:]:
+            if token not in bucket:
+                bucket.add(token)
+                attr_order.append((v, token))
+
+    original_ids = tuple(sorted(vertices))
+    dense = {orig: i for i, orig in enumerate(original_ids)}
+    n = len(original_ids)
+
+    # Token ids in first-seen (file-order) sequence.
+    for _, token in attr_order:
+        if token not in dictionary.token_to_id:
+            dictionary.token_to_id[token] = len(dictionary.id_to_token)
+            dictionary.id_to_token.append(token)
+
+    adjacency_sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        du, dv = dense[u], dense[v]
+        adjacency_sets[du].add(dv)
+        adjacency_sets[dv].add(du)
+    adjacency = [tuple(sorted(s)) for s in adjacency_sets]
+
+    attributes: list[tuple[int, ...]] = [()] * n
+    for orig, tokens in raw_attrs.items():
+        attributes[dense[orig]] = tuple(sorted(dictionary.token_to_id[t] for t in tokens))
+
+    return AttributedGraph(
+        vertex_count=n,
+        adjacency=adjacency,
+        attributes=attributes,
+        attribute_dictionary=dictionary,
+        external_ids=original_ids,
+        dropped_self_loops=self_loops,
+    )
 
 
 def random_graph_lines(rng: random.Random, n: int, p: float):

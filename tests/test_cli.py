@@ -82,8 +82,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("budget", ["0", "-7"])
     def test_budget_below_one_is_usage_error(self, tmp_path, example_paths, capsys, budget):
         assert run_cli(tmp_path, example_paths, "--max-expansions", budget) == 1
-        assert "expansion_budget must be at least 1" in capsys.readouterr().err
+        assert "--max-expansions must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "records.tsv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma-min", "0"], "--sigma-min must be at least 1"),
+        (["--max-expansions", "0"], "--max-expansions must be at least 1"),
+        (["--min-size", "1"], "--min-size must be at least 2, got 1"),
+        (["--eps-min", "2"], "--eps-min must be in [0, 1]"),
+        (["--delta-min", "-1"], "--delta-min must be non-negative"),
+        (["--max-set-size", "0"], "--max-set-size must be at least 1"),
+        (["--null-model", "simulation", "--samples", "0"],
+         "--samples must be at least 1 for the simulation null model"),
+    ], ids=["sigma-min", "max-expansions", "min-size", "eps-min", "delta-min", "max-set-size",
+            "samples"])
+    def test_config_error_names_the_flag(self, tmp_path, example_paths, capsys, flags, message):
+        assert run_cli(tmp_path, example_paths, *flags) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"usage error: {message}"
+
+    @pytest.mark.parametrize("which", ["graph", "attributes"])
+    def test_non_utf8_input_is_input_error(self, tmp_path, example_paths, capsys, which):
+        edges, attrs = (tmp_path / "g.edges", tmp_path / "g.attrs")
+        edges.write_bytes(example_paths[0].read_bytes())
+        attrs.write_bytes(example_paths[1].read_bytes())
+        bad = edges if which == "graph" else attrs
+        lines = bad.read_bytes().splitlines(keepends=True)
+        lines.insert(2, b"\xff\xfe 3\n")
+        bad.write_bytes(b"".join(lines))
+        assert run_cli(tmp_path, (edges, attrs)) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {bad}, line 3: not UTF-8 text: invalid start byte\n"
 
     def test_overflow_fail_fast_is_exit_three(self, tmp_path):
         edges = tmp_path / "cycle.edges"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scpm import (
     GraphFormatError,
@@ -15,7 +17,14 @@ from scpm import (
     z_core,
 )
 
-from oracles import brute_z_core, random_attributed_graph, random_graph_lines
+from scpm.graph import MAX_VERTEX_ID
+
+from oracles import (
+    brute_z_core,
+    random_attributed_graph,
+    random_graph_lines,
+    reference_load_graph,
+)
 
 CORE_GAMMAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(1)]
 
@@ -101,6 +110,91 @@ class TestLoadGraph:
         assert d.id_for("zebra") == 0
         assert d.id_for("apple") == 1
         assert d.id_for("mango") == 2
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+LEADING = st.sampled_from(["", " ", "\t", " \t "])
+TRAILING = st.sampled_from(["", "\n", " ", "\t\n", " \r\n"])
+SEPARATOR = st.sampled_from([" ", "\t", " \t  "])
+
+
+@st.composite
+def vertex_tokens(draw, sparse):
+    """A vertex id as a file may spell it: every spelling here is one that
+    ``int()`` accepts. Dense draws repeat a few small ids; sparse ones mix
+    in ids up to ``MAX_VERTEX_ID``."""
+    small = st.integers(0, 6)
+    v = draw(st.one_of(small, st.integers(0, MAX_VERTEX_ID)) if sparse else small)
+    text = str(v)
+    style = draw(st.sampled_from(["plain", "plain", "plus", "zero", "underscore", "arabic"]))
+    if style == "plus":
+        return "+" + text
+    if style == "zero":
+        return "0_" + text
+    if style == "underscore":
+        return "_".join(text)
+    if style == "arabic":
+        return text.translate(ARABIC_INDIC)
+    return text
+
+
+@st.composite
+def source_lines(draw, line):
+    """Lines of one source: data lines drawn from ``line``, comments and
+    blank lines, each with surrounding whitespace."""
+    kinds = draw(st.lists(st.sampled_from(["data", "data", "data", "comment", "blank"]), max_size=25))
+    lines = []
+    for kind in kinds:
+        body = {"data": line, "comment": st.sampled_from(["#", "# 1 2", "#x y z"]),
+                "blank": st.just("")}[kind]
+        lines.append(draw(LEADING) + draw(body) + draw(TRAILING))
+    return lines
+
+
+@st.composite
+def graph_sources(draw):
+    """Edge and attribute lines with duplicate and reversed edges,
+    self-loops, attribute-only vertices and vertices over several lines."""
+    ids = vertex_tokens(draw(st.booleans()))
+    edge = st.tuples(ids, SEPARATOR, ids).map("".join)
+    tokens = st.lists(st.tuples(SEPARATOR, st.sampled_from(["a", "b", "c", "b1", "#"])).map("".join),
+                      max_size=4)
+    attribute = st.tuples(ids, tokens).map(lambda p: p[0] + "".join(p[1]))
+    return draw(source_lines(edge)), draw(source_lines(attribute))
+
+
+BAD_EDGE_LINES = ["7", "1 2 3", "x 2", "2 x", "1.5 2", "-1 2", "3 -4", f"{2**63} 1", f"1 {2**63}"]
+BAD_ATTRIBUTE_LINES = ["x a", "1.0 b", "-3 a b", f"{2**63} a"]
+
+
+class TestLoaderMatchesReference:
+    """``load_graph`` against the set-based loader it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sources=graph_sources())
+    @example(sources=(["# u v", "0 1", "1 2", " 2\t0 ", "2 1", "1 1", ""], ["3 a", "0 b a", "3 c"]))
+    def test_same_graph(self, sources):
+        edges, attrs = sources
+        got = load_graph(iter(edges), iter(attrs))
+        assert got == reference_load_graph(iter(edges), iter(attrs))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sources=graph_sources(), data=st.data())
+    def test_same_error(self, sources, data):
+        edges, attrs = sources
+        if data.draw(st.booleans(), label="edge source"):
+            lines, bad = edges, BAD_EDGE_LINES
+        else:
+            lines, bad = attrs, BAD_ATTRIBUTE_LINES
+        at = data.draw(st.integers(0, len(lines)), label="position")
+        lines.insert(at, data.draw(LEADING) + data.draw(st.sampled_from(bad)) + data.draw(TRAILING))
+        with pytest.raises(GraphFormatError) as expected:
+            reference_load_graph(iter(edges), iter(attrs))
+        with pytest.raises(GraphFormatError) as got:
+            load_graph(iter(edges), iter(attrs))
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert got.value.line_number == expected.value.line_number
 
 
 class TestDegreeDistribution:
