@@ -422,8 +422,8 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         with (
-            open(args.graph, encoding="utf-8") as edge_fh,
-            open(args.attributes, encoding="utf-8") as attr_fh,
+            open(args.graph, encoding="utf-8-sig") as edge_fh,
+            open(args.attributes, encoding="utf-8-sig") as attr_fh,
         ):
             g = load_graph(edge_fh, attr_fh)
     except OSError as exc:

@@ -16,13 +16,18 @@ members a child's search runs on are decoded from its posting ANDed with
 both parents' coverage bitsets: a few vertices, not the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
-five prunings, the last of which the exhaustive one shares:
+six prunings, the last of which the exhaustive one shares:
 
 * each child's quasi-clique search is restricted to the intersection of its
   parents' coverage sets (no quasi-clique can leave them),
 * the set's members are peeled to their z-core over the graph's adjacency
   (``graph.z_core``) before its view is built, since no quasi-clique member
   lies outside that core; most of a sparse posting falls away here,
+* a set is searched only when its members, and then its core, number at
+  least eps_min * sigma_min (tested as count / sigma_min >= eps_min): the
+  coverage set lies in the core, so a smaller core gives eps below eps_min
+  and fails the extension test below. Such a set is visited but gets no
+  view, no score and no children; with eps_min 0 nothing is skipped,
 * an attribute set is extended only while covered_count / sigma_min >=
   eps_min and, under the analytical null model, normalized_delta(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
@@ -130,9 +135,11 @@ class PatternRecord:
 class MinerStats:
     """Counters for one run: visited sets, engine expansions, aborted sets.
 
-    ``expansions`` counts the searches of every visited set's view, of its
+    ``expansions`` counts the searches of every searched set's view, of its
     top-k patterns, and of the simulation samples drawn for the supports
-    that were scored, i.e. of sets whose eps reached eps_min.
+    that were scored, i.e. of sets whose eps reached eps_min. A set that
+    ``run_scpm`` skips because its core is too small counts as visited and
+    adds no expansion.
     """
 
     sets_visited: int = 0
@@ -178,16 +185,25 @@ def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
 
 def _coverage(
     g: AttributedGraph,
-    members: tuple[int, ...],
+    core: list[int],
     cfg: MinerConfig,
     stats: SearchStats | None,
 ) -> tuple[int, ...]:
-    """Coverage set of the sorted ``members``, searched on the view of their
-    z-core. The engine peels any view to that same unique core before it
-    searches, so the coverage set and the expansions equal those of a
-    search of the whole view."""
-    view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
+    """Coverage set of a sorted z-core (``graph.z_core`` of a set's
+    members), searched on its view. The engine peels any view to that same
+    unique core before it searches, so the coverage set and the expansions
+    equal those of a search of the members' whole view."""
+    view = induced_view(g, core)
     return covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
+
+
+def _can_reach_eps_min(count: int, cfg: MinerConfig) -> bool:
+    """Whether a coverage set of at most ``count`` vertices can give its set
+    or a superset eps >= eps_min. eps is at most count / sigma_min; the test
+    divides and compares as prune_extension's first test does, and
+    correctly rounded division is monotone, so a False here means
+    prune_extension would return False and eps would fall below eps_min."""
+    return count / cfg.sigma_min >= cfg.eps_min
 
 
 def _score(
@@ -230,7 +246,7 @@ def structural_correlation(
     if not posting:
         raise ValueError(f"attribute set {s} has no supporting vertices")
     members = posting if restriction is None else tuple(v for v in posting if v in restriction)
-    covered = _coverage(g, members, cfg, stats)
+    covered = _coverage(g, z_core(g.adjacency, members, cfg.qc_params.z), cfg, stats)
     if null is None:
         null = _null_model(g, cfg)
     return _score(s, len(posting), covered, null, stats)
@@ -286,9 +302,11 @@ class _Walk:
     yields its patterns. ``mask`` is the set's posting as a bitset and
     ``members`` the sorted vertices its search runs on: the whole posting
     for a singleton, else the posting ANDed with both parents' coverage
-    bitsets. Only a set whose eps reaches eps_min can qualify, so only such
-    a set is scored against the null model; it is recorded, with its
-    patterns, when its delta reaches delta_min as well. Records and
+    bitsets. A policy may skip the search of a set that can reach eps_min
+    neither itself nor through a superset: it returns an empty coverage
+    set, False and None. Only a set whose eps reaches eps_min can qualify,
+    so only such a set is scored against the null model; it is recorded,
+    with its patterns, when its delta reaches delta_min as well. Records and
     patterns accumulate in discovery order. A set whose search, sample
     search or pattern search overflows the budget is logged and dropped
     with its subtree, unless fail_fast re-raises.
@@ -298,7 +316,7 @@ class _Walk:
         self,
         cfg: MinerConfig,
         null: NullModel,
-        evaluate: Callable[..., tuple[tuple[int, ...], bool, Callable[[], list[QuasiClique]]]],
+        evaluate: Callable[..., tuple[tuple[int, ...], bool, Callable[[], list[QuasiClique]] | None]],
     ):
         self.cfg = cfg
         self.null = null
@@ -380,15 +398,24 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     Emits one record per visited attribute set with sigma >= sigma_min that
     satisfies eps >= eps_min and delta >= delta_min, plus its top-k patterns,
     in depth-first discovery order. Sets failing the extension tests are
-    reported (when they qualify) but never extended. A search that
-    overflows, on the set's view or on a simulation sample drawn to score
-    it, drops that set unreported and unextended unless fail_fast is set.
+    reported (when they qualify) but never extended. A set whose members'
+    z-core is too small to reach eps_min is visited without a search. A
+    search that overflows, on the set's view or on a simulation sample drawn
+    to score it, drops that set unreported and unextended unless fail_fast
+    is set.
     """
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
     def evaluate(attrs, mask, members, engine_stats):
-        covered = _coverage(g, members, cfg, engine_stats)
+        # The coverage set lies in the members' z-core. A core too small to
+        # reach eps_min leaves the set unsearched, unrecorded and unextended.
+        if not _can_reach_eps_min(len(members), cfg):
+            return (), False, None
+        core = z_core(g.adjacency, members, cfg.qc_params.z)
+        if not _can_reach_eps_min(len(core), cfg):
+            return (), False, None
+        covered = _coverage(g, core, cfg, engine_stats)
 
         def patterns():
             # Every quasi-clique of the set's view lies in its coverage set,

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graph import GraphView
 
@@ -149,9 +149,12 @@ def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
     """Iteratively remove vertices below the z degree floor (z-core reduction).
 
     No quasi-clique member is ever removed, so the returned view contains all
-    quasi-cliques of the input view.
+    quasi-cliques of the input view. A view that is already its own z-core
+    is returned as is.
     """
     z = params.z
+    if min(map(len, view.local_adjacency), default=z) >= z:
+        return view
     degrees = {v: len(view.local_adjacency[i]) for i, v in enumerate(view.members)}
     alive = set(view.members)
     queue = deque(v for v, d in degrees.items() if d < z)
@@ -165,8 +168,6 @@ def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
                 degrees[u] -= 1
                 if degrees[u] < z:
                     queue.append(u)
-    if len(alive) == len(view.members):
-        return view
     return _restrict_view(view, alive)
 
 
@@ -198,8 +199,8 @@ class _ViewSearch:
         self.expansions = 0
         # floors[s] = degree floor for a size-s set; size_cap[d] = largest set
         # size a vertex of within-degree d can belong to.
-        self.floors = [params.degree_floor(s) for s in range(n + 2)]
         num, den = params.gamma_min.numerator, params.gamma_min.denominator
+        self.floors = [-(-num * (s - 1) // den) for s in range(n + 2)]
         self.size_cap = [d * den // num + 1 for d in range(n + 1)]
         # reach[p] holds every vertex that can share a quasi-clique with p:
         # its neighbours at gamma 1, where every member is adjacent to every
@@ -236,11 +237,14 @@ class _ViewSearch:
                 return False
         return True
 
-    def _refine(self, chosen: int, cand: int) -> tuple[int, int] | None:
+    def _refine(self, chosen: int, cand: int) -> tuple[int, int, int] | None:
         """Degree and size-interval filters to a fixpoint.
 
-        Returns (refined extensions, size upper bound) or None when no
-        admissible set can exist below this node.
+        Returns (refined extensions, size upper bound, least degree inside
+        chosen | refined extensions) or None when no admissible set can
+        exist below this node. The least degree comes from the last pass,
+        which removes nothing, so chosen | extensions is dense exactly when
+        it reaches the floor of its size.
         """
         adj = self.adj
         floors = self.floors
@@ -251,13 +255,15 @@ class _ViewSearch:
         need_ext = floors[csize + 1 if csize + 1 > self.min_size else self.min_size]
         while True:
             union = chosen | cand
-            upper = union.bit_count()
+            upper = least = union.bit_count()
             m = chosen
             while m:
                 low = m & -m
                 d = (adj[low.bit_length() - 1] & union).bit_count()
                 if d < need_chosen:
                     return None
+                if d < least:
+                    least = d
                 cap = size_cap[d]
                 if cap < upper:
                     upper = cap
@@ -268,11 +274,14 @@ class _ViewSearch:
             m = cand
             while m:
                 low = m & -m
-                if (adj[low.bit_length() - 1] & union).bit_count() < need_ext:
+                d = (adj[low.bit_length() - 1] & union).bit_count()
+                if d < need_ext:
                     removed |= low
+                elif d < least:
+                    least = d
                 m ^= low
             if not removed:
-                return cand, upper
+                return cand, upper, least
             cand &= ~removed
 
     def _clique_from_mask(self, mask: int, size: int) -> QuasiClique:
@@ -311,6 +320,7 @@ class _ViewSearch:
         """
         if self.n < self.min_size:
             return []
+        floors = self.floors
         pool: list[int] = []
         floor = self.min_size
         nodes = [(0, self.full_mask)]
@@ -320,11 +330,11 @@ class _ViewSearch:
             refined = self._refine(chosen, cand)
             if refined is None:
                 continue
-            cand, upper = refined
+            cand, upper, least = refined
             if upper < floor:
                 continue
             union = chosen | cand
-            if self._is_dense(union, union.bit_count()):
+            if least >= floors[union.bit_count()]:
                 found = union
             else:
                 csize = chosen.bit_count()
@@ -334,7 +344,14 @@ class _ViewSearch:
                     and self._locally_maximal(chosen, csize)
                 )
                 found = chosen if locally_maximal else 0
-                self._push_children(nodes, chosen, cand, _bits(cand))
+                # Reversed canonical order: highest position first.
+                last_first = []
+                m = cand
+                while m:
+                    p = m.bit_length() - 1
+                    last_first.append(p)
+                    m ^= 1 << p
+                self._push_children(nodes, chosen, last_first)
             if found:
                 _antichain_insert(pool, found)
                 if k is not None and len(pool) >= k:
@@ -364,11 +381,19 @@ class _ViewSearch:
 
         Children are explored greedy-first: the extension with the most
         neighbours in ``chosen``, then in ``chosen | extensions``, is popped
-        first; the sort is stable, so ties keep the canonical order. The
-        first descent is therefore a densest-first growth around ``root``;
-        where it misses, the walk backtracks until the subtree is exhausted.
+        first, and ties keep the canonical order. Each extension's place in
+        that order is one int, (chosen degree, union degree, n - 1 -
+        position) packed into fixed-width fields, so one ascending sort
+        yields the reverse of the greedy order. The first descent is
+        therefore a densest-first growth around ``root``; where it misses,
+        the walk backtracks until the subtree is exhausted.
         """
         adj = self.adj
+        floors = self.floors
+        min_size = self.min_size
+        top = self.n - 1
+        shift = self.n.bit_length()
+        low_field = (1 << shift) - 1
         root_bit = 1 << root
         cand0 = (self.reach[root] if self.reach is not None else self.full_mask) & ~root_bit
         nodes = [(root_bit, cand0)]
@@ -378,41 +403,44 @@ class _ViewSearch:
             refined = self._refine(chosen, cand)
             if refined is None:
                 continue
-            cand, _upper = refined
+            cand, _upper, least = refined
             union = chosen | cand
-            if self._is_dense(union, union.bit_count()):
+            if least >= floors[union.bit_count()]:
                 return union
             csize = chosen.bit_count()
-            if csize >= self.min_size and self._is_dense(chosen, csize):
+            if csize >= min_size and self._is_dense(chosen, csize):
                 return chosen
-            order = sorted(
-                _bits(cand),
-                key=lambda p: ((adj[p] & chosen).bit_count(), (adj[p] & union).bit_count()),
-                reverse=True,
-            )
-            self._push_children(nodes, chosen, cand, order)
+            keys = []
+            m = cand
+            while m:
+                low = m & -m
+                p = low.bit_length() - 1
+                a = adj[p]
+                keys.append(
+                    ((a & chosen).bit_count() << shift | (a & union).bit_count()) << shift
+                    | top - p
+                )
+                m ^= low
+            keys.sort()
+            self._push_children(nodes, chosen, [top - (key & low_field) for key in keys])
         return 0
 
-    def _push_children(self, nodes: list, chosen: int, cand: int, order: Iterable[int]):
-        """Push one child per extension, the first in ``order`` on top.
+    def _push_children(self, nodes: list, chosen: int, last_first: list[int]):
+        """Push one child per extension in ``last_first``, the reverse of
+        the branching order, so the first branched on ends on top.
 
-        Each child drops the extensions branched on before it in ``order``,
-        so the children partition the subtree whatever the order: a set
-        containing ``chosen`` lies below exactly one child, the one of its
-        first extension in ``order``. With the canonical order each child
-        keeps the extensions ordered after its branch vertex.
+        Each child drops the extensions branched on before it, so the
+        children partition the subtree whatever the order: a set containing
+        ``chosen`` lies below exactly one child, the one of its first
+        extension in the branching order. With the canonical order each
+        child keeps the extensions ordered after its branch vertex.
         """
-        children = []
-        rest = cand
-        for p in order:
+        reach = self.reach
+        later = 0
+        for p in last_first:
             bit = 1 << p
-            rest ^= bit
-            child_cand = rest
-            if self.reach is not None:
-                child_cand &= self.reach[p]
-            children.append((chosen | bit, child_cand))
-        children.reverse()
-        nodes.extend(children)
+            nodes.append((chosen | bit, later if reach is None else later & reach[p]))
+            later |= bit
 
 
 def _antichain_insert(pool: list[int], mask: int):

@@ -113,6 +113,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"input error: {bad}, line 3: not UTF-8 text: invalid start byte\n"
 
+    @pytest.mark.parametrize("which", ["graph", "attributes"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, example_paths, which):
+        # The mark precedes a vertex id: the comment lines are dropped.
+        edges, attrs = (tmp_path / "g.edges", tmp_path / "g.attrs")
+        edges.write_bytes(example_paths[0].read_bytes())
+        attrs.write_bytes(example_paths[1].read_bytes())
+        marked = edges if which == "graph" else attrs
+        lines = marked.read_bytes().splitlines(keepends=True)
+        marked.write_bytes(b"\xef\xbb\xbf" + b"".join(ln for ln in lines if not ln.startswith(b"#")))
+        assert run_cli(tmp_path, (edges, attrs), records="bom/records.tsv",
+                       patterns="bom/patterns.tsv") == 0
+        assert run_cli(tmp_path, example_paths) == 0
+        for name in ("records.tsv", "patterns.tsv"):
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_overflow_fail_fast_is_exit_three(self, tmp_path):
         edges = tmp_path / "cycle.edges"
         edges.write_text("\n".join(f"{v} {(v + 1) % 16}" for v in range(16)) + "\n")

@@ -591,7 +591,7 @@ class TestMembersFromMasks:
 
 class TestPeelBeforeView:
     """The miner searches only the view of the members' z-core, and that
-    changes no record, pattern or expansion count."""
+    changes no record, pattern or visit count."""
 
     @pytest.mark.parametrize("instance", ["example11", "planted2000"])
     def test_views_arrive_peeled(self, instance, request, monkeypatch):
@@ -606,17 +606,94 @@ class TestPeelBeforeView:
 
         monkeypatch.setattr(scpm.miner, "covered_vertices", checking)
         peeled = run_scpm(g, index, cfg)
-        assert len(peeled_views) == peeled.stats.sets_visited
-        assert all(peeled_views)
+        searched = len(peeled_views)
+        assert searched and all(peeled_views)
         # A peel that keeps every member searches the whole (restricted)
-        # view of each posting.
+        # view of each posting. The core-size bound then reads the member
+        # count, so it skips fewer sets, and the extra searches find no
+        # coverage set that reaches eps_min.
         peeled_views.clear()
         monkeypatch.setattr(scpm.miner, "z_core", lambda adjacency, members, z: members)
         whole = run_scpm(g, index, cfg)
         assert not all(peeled_views)
+        assert len(peeled_views) >= searched
         assert peeled.records == whole.records
         assert peeled.patterns == whole.patterns
-        assert peeled.stats == whole.stats
+        assert peeled.stats.sets_visited == whole.stats.sets_visited
+        assert peeled.stats.overflow_sets == whole.stats.overflow_sets
+        assert whole.stats.expansions >= peeled.stats.expansions
+
+
+class TestSkipSmallCores:
+    """run_scpm searches a set only when its z-core holds at least
+    eps_min * sigma_min vertices: its coverage set lies in that core, so a
+    smaller core can give neither the set nor any superset eps >= eps_min."""
+
+    def test_core_at_the_bound_is_searched_below_it_is_not(self, monkeypatch):
+        import scpm.miner
+
+        # Tag a sits on a 5-clique and tag b on a 4-clique, each with
+        # isolated carriers up to support 7. At eps_min = 5 / 7, a's core of
+        # 5 sits exactly at the bound and b's core of 4 falls below it.
+        clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
+        g = _graph(
+            clique(range(5)) + clique(range(7, 11)),
+            lambda v: ["a"] if v < 7 else ["b"],
+            14,
+        )
+        index = build_index(g)
+        cfg = reference_config(sigma_min=7, eps_min=5 / 7)
+        searched = []
+
+        def recording(view, params, **kwargs):
+            searched.append(view.members)
+            return covered_vertices(view, params, **kwargs)
+
+        monkeypatch.setattr(scpm.miner, "covered_vertices", recording)
+        result = run_scpm(g, index, cfg)
+        assert searched == [tuple(range(5))]
+        assert _labels(g, result.records) == ["a"]
+        assert result.records[0].eps == cfg.eps_min
+        assert result.stats.sets_visited == 2
+
+    def test_planted_searches_fewer_views_than_it_visits(self, planted_2000, monkeypatch):
+        import scpm.miner
+
+        g, index = planted_2000
+        searches = 0
+
+        def counting(view, params, **kwargs):
+            nonlocal searches
+            searches += 1
+            return covered_vertices(view, params, **kwargs)
+
+        monkeypatch.setattr(scpm.miner, "covered_vertices", counting)
+        result = run_scpm(g, index, reference_config(sigma_min=100, eps_min=0.1, k=5))
+        assert 0 < searches < result.stats.sets_visited
+
+    def test_small_core_cannot_overflow(self):
+        from scpm.cli import patterns_text, records_text
+
+        # A tag on a 16-cycle plus 84 isolated carriers: support 100, core
+        # 16, below eps_min * sigma_min = 20. Budget 3 cannot finish a search
+        # of the cycle, and no search is made.
+        g = _graph([(v, (v + 1) % 16) for v in range(16)], lambda v: ["tag"], 100)
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1, 2), 3), sigma_min=100, eps_min=0.2, k=5
+        )
+        tight = run_scpm(g, index, dataclasses.replace(cfg, expansion_budget=3))
+        assert tight.stats.sets_visited == 1
+        assert tight.stats.overflow_sets == []
+        loose = run_scpm(g, index, cfg)
+
+        def tsv(result):
+            return (
+                records_text([(None, result.records)], g, "m"),
+                patterns_text([(None, result.patterns)], g, "m"),
+            )
+
+        assert tsv(tight) == tsv(loose)
 
 
 def _eager_walk(seen):

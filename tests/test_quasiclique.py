@@ -337,6 +337,28 @@ class TestBudget:
         top_k_patterns(view, P06_4, 1, stats=stats)
         assert stats.expansions == 95
 
+    @pytest.mark.parametrize(
+        ("seed", "n", "p", "gamma", "min_size", "covered", "expansions"),
+        [
+            (None, None, None, Fraction(3, 5), 4, 9, 49),
+            (0, 24, 0.3, Fraction(3, 5), 4, 24, 907),
+            (1, 20, 0.4, Fraction(2, 3), 5, 17, 4731),
+        ],
+        ids=["example11-A", "random-24", "random-20"],
+    )
+    def test_coverage_walk_expansions_pinned(
+        self, example_graph, example_index, example_ids, seed, n, p, gamma, min_size, covered, expansions
+    ):
+        # The greedy order decides which set each root's walk hits first, so
+        # these counts pin that order and the node filters along with it.
+        if seed is None:
+            view = view_for_attr(example_graph, example_index, (example_ids.A,))
+        else:
+            view = random_view(random.Random(seed), n, p)
+        stats = SearchStats()
+        got = covered_vertices(view, QuasiCliqueParams(gamma, min_size), stats=stats)
+        assert (len(got), stats.expansions) == (covered, expansions)
+
     def test_stats_accumulate(self, example_graph, example_index, example_ids):
         view = view_for_attr(example_graph, example_index, (example_ids.A,))
         stats = SearchStats()
