@@ -292,8 +292,8 @@ def export_pattern_dot(
             lines.append(f'  "{name(v)}" [style=filled, fillcolor=gold];')
         else:
             lines.append(f'  "{name(v)}" [color=gray, fontcolor=gray];')
-    for i, v in enumerate(view.members):
-        for u in view.local_adjacency[i]:
+    for v in view.members:
+        for u in view.neighbors(v):
             if u <= v:
                 continue
             if u in member_set and v in member_set:

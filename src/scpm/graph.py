@@ -1,5 +1,5 @@
-"""Attributed graph storage, degree statistics, induced subgraph views, and
-the z-core peel that decides which members a view needs.
+"""Attributed graph storage, degree statistics, induced subgraph views that
+share the graph's adjacency, and the z-core peel, the program's only one.
 
 The graph is immutable after loading: adjacency is a list of strictly sorted
 neighbor tuples over dense vertex ids 0..n-1, and every vertex carries a
@@ -10,12 +10,13 @@ non-negative integers) are remapped on load unless they already are
 ``load_graph`` reads each line on a fast path (``split`` and ``int``, with
 the id range checked inline) and hands only the lines that fail it to the
 checked parser, which skips blank and comment lines and raises every
-``GraphFormatError`` with its message and line number.
+``GraphFormatError`` with its message, source name and line number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Iterable, Sequence
 
 # File vertex ids above this are rejected so dense remapping stays in
@@ -102,33 +103,31 @@ class DegreeHistogram:
         return self.probabilities.get(alpha, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphView:
     """Induced subgraph over a sorted member subset.
 
-    ``local_adjacency[i]`` is the sorted tuple of neighbors of ``members[i]``
-    restricted to the members. Vertex ids are those of the parent graph.
+    ``adjacency`` is the parent graph's own list, shared and not copied.
+    ``neighbors(v)`` reads a member's sorted neighbours among the members.
     """
 
     members: tuple[int, ...]
-    local_adjacency: tuple[tuple[int, ...], ...]
+    adjacency: Sequence[Sequence[int]] = field(repr=False)
+    member_set: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "member_set", frozenset(self.members))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.local_adjacency[self.index_of(v)]
-
-    def index_of(self, v: int) -> int:
-        pos = self.__dict__.get("_pos")
-        if pos is None:
-            pos = {m: i for i, m in enumerate(self.members)}
-            self.__dict__["_pos"] = pos
-        return pos[v]
+        return tuple(filter(self.member_set.__contains__, self.adjacency[v]))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.local_adjacency) // 2
+        inside = self.member_set.intersection
+        return sum(len(inside(self.adjacency[v])) for v in self.members) // 2
 
 
 def _parse_vertex_id(token: str, source: str, line_number: int) -> int:
@@ -143,7 +142,7 @@ def _parse_vertex_id(token: str, source: str, line_number: int) -> int:
     return value
 
 
-def _checked_edge_line(raw: str, line_number: int) -> tuple[int, int] | None:
+def _checked_edge_line(raw: str, source: str, line_number: int) -> tuple[int, int] | None:
     """The ids of an edge line, None for a blank or comment line, or the
     ``GraphFormatError`` of its first fault."""
     line = raw.strip()
@@ -152,20 +151,20 @@ def _checked_edge_line(raw: str, line_number: int) -> tuple[int, int] | None:
     parts = line.split()
     if len(parts) != 2:
         raise GraphFormatError(
-            f"expected two vertex ids, got {len(parts)} fields", "edge source", line_number
+            f"expected two vertex ids, got {len(parts)} fields", source, line_number
         )
-    u = _parse_vertex_id(parts[0], "edge source", line_number)
-    v = _parse_vertex_id(parts[1], "edge source", line_number)
+    u = _parse_vertex_id(parts[0], source, line_number)
+    v = _parse_vertex_id(parts[1], source, line_number)
     return u, v
 
 
-def _checked_attribute_line(raw: str, line_number: int) -> int | None:
+def _checked_attribute_line(raw: str, source: str, line_number: int) -> int | None:
     """The vertex id of an attribute line, None for a blank or comment line,
     or the ``GraphFormatError`` of its id."""
     line = raw.strip()
     if not line or line.startswith("#"):
         return None
-    return _parse_vertex_id(line.split()[0], "attribute source", line_number)
+    return _parse_vertex_id(line.split()[0], source, line_number)
 
 
 class _TokenIds(dict):
@@ -196,9 +195,12 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
     each attribute token is interned once, on first sight, so token ids
     follow first appearance in the file. Ids map to dense ids through a
     dict, or through ``range(n)`` when they already are 0..n-1, so each
-    vertex is one shared int object wherever the graph holds it.
+    vertex is one shared int object wherever the graph holds it. Errors
+    name a source by its ``name``, as an open file has, if it has one.
     """
     top = MAX_VERTEX_ID
+    edge_name = str(getattr(edge_source, "name", "edge source"))
+    attribute_name = str(getattr(attribute_source, "name", "attribute source"))
     us: list[int] = []
     vs: list[int] = []
     for line_number, raw in enumerate(edge_source, start=1):
@@ -211,7 +213,7 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
                 us.append(u)
                 vs.append(v)
                 continue
-        ids = _checked_edge_line(raw, line_number)
+        ids = _checked_edge_line(raw, edge_name, line_number)
         if ids is not None:
             us.append(ids[0])
             vs.append(ids[1])
@@ -226,7 +228,7 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
         except (IndexError, ValueError):
             v = -1
         if not 0 <= v <= top:
-            v = _checked_attribute_line(raw, line_number)
+            v = _checked_attribute_line(raw, attribute_name, line_number)
             if v is None:
                 continue
         bucket = buckets.get(v)
@@ -283,17 +285,15 @@ def degree_distribution(g: AttributedGraph) -> DegreeHistogram:
 
 
 def induced_view(g: AttributedGraph, members) -> GraphView:
-    """View of ``g`` restricted to ``members`` (sorted, duplicate-free, all in V)."""
+    """View of ``g`` restricted to ``members`` (strictly sorted, all in V),
+    sharing ``g.adjacency``."""
     members = tuple(members)
-    member_set = set(members)
-    if len(member_set) != len(members) or any(members[i] >= members[i + 1] for i in range(len(members) - 1)):
+    if not all(map(lt, members, members[1:])):
         raise ValueError("members must be strictly sorted and duplicate-free")
-    local = []
-    for v in members:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} is not in the graph")
-        local.append(tuple(u for u in g.adjacency[v] if u in member_set))
-    return GraphView(members=members, local_adjacency=tuple(local))
+    if members and not (0 <= members[0] and members[-1] < g.vertex_count):
+        outside = next(v for v in members if not 0 <= v < g.vertex_count)
+        raise ValueError(f"vertex {outside} is not in the graph")
+    return GraphView(members, g.adjacency)
 
 
 def z_core(adjacency: Sequence[Sequence[int]], members: Sequence[int], z: int) -> list[int]:
@@ -304,17 +304,18 @@ def z_core(adjacency: Sequence[Sequence[int]], members: Sequence[int], z: int) -
     in the z-core, so when z is ``QuasiCliqueParams.z`` every quasi-clique
     of the induced subgraph lies in this core. A first pass drops every member with fewer
     than z neighbours among all the members, which for a sparse member set
-    (a random sample, or an attribute set's posting) is nearly all of them.
-    The survivors then keep their neighbour sets among each other, and the
-    queue-based peel of the k-core decomposition (Batagelj and Zaversnik,
-    2003), run for the one value z, drops each vertex whose set falls below
-    z and takes it out of its neighbours' sets. Time is linear in the
-    members' degrees and memory in the edges among them. The core is
-    unique, so it equals the members of
-    ``vertex_prune(induced_view(g, members), params)``.
+    (a random sample, or an attribute set's posting) is nearly all of them;
+    when it drops none, the members are their own core and return at once.
+    Otherwise the survivors keep their neighbour sets among each other, and
+    the queue-based peel of the k-core decomposition (Batagelj and
+    Zaversnik, 2003), run for the one value z, drops each vertex whose set
+    falls below z and takes it out of its neighbours' sets. Time is linear
+    in the members' degrees and memory in the edges among them.
     """
     sample = set(members)
     kept = [v for v in members if len(sample.intersection(adjacency[v])) >= z]
+    if len(kept) == len(members):
+        return kept
     alive = set(kept)
     local = {v: alive.intersection(adjacency[v]) for v in kept}
     dropped = [v for v in kept if len(local[v]) < z]

@@ -190,9 +190,10 @@ def _coverage(
     stats: SearchStats | None,
 ) -> tuple[int, ...]:
     """Coverage set of a sorted z-core (``graph.z_core`` of a set's
-    members), searched on its view. The engine peels any view to that same
-    unique core before it searches, so the coverage set and the expansions
-    equal those of a search of the members' whole view."""
+    members), searched on its view over the graph's shared adjacency. The
+    engine peels every view with the same ``z_core`` before it searches, so
+    the coverage set and the expansions equal those of a search of the
+    members' whole view, and the core itself passes that peel unchanged."""
     view = induced_view(g, core)
     return covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
 

@@ -143,14 +143,16 @@ def sim_eps_exp(
 
     Every quasi-clique of a sample lies in its z-core, so each sample is
     first peeled to that core over the graph's adjacency by
-    ``graph.z_core``, and a view is built and searched only for the
-    survivors. A core smaller than min_size holds no quasi-clique and
-    scores 0 without a search. Searching the core gives the same coverage
-    and the same expansions as searching the whole sample, since the engine
-    peels to the same core first. The expansions of every sample search,
-    including one that overflows, are added to ``stats``. The miners ask
-    for a support only to score a set whose eps reaches eps_min, so their
-    ``expansions`` count the samples of those supports alone.
+    ``graph.z_core``, and a view, which shares that adjacency, is built and
+    searched only for the survivors. A core smaller than min_size holds no
+    quasi-clique and scores 0 without a search. Searching the core gives
+    the same coverage and the same expansions as searching the whole
+    sample, since the engine peels every view with the same ``z_core``
+    first, and a core passes that peel unchanged. The expansions of every
+    sample search, including one that overflows, are added to ``stats``.
+    The miners ask for a support only to score a set whose eps reaches
+    eps_min, so their ``expansions`` count the samples of those supports
+    alone.
     """
     if cfg.kind != SIMULATION:
         raise ValueError("sim_eps_exp requires a simulation-kind config")
@@ -211,14 +213,13 @@ class NullModel:
         g: AttributedGraph,
         params: QuasiCliqueParams,
         cfg: NullModelConfig,
-        hist: DegreeHistogram | None = None,
         *,
         budget: int = DEFAULT_EXPANSION_BUDGET,
     ):
         self._g = g
         self._params = params
         self._cfg = cfg
-        self._hist = hist if hist is not None else degree_distribution(g)
+        self._hist = degree_distribution(g)
         self._budget = budget
         self._cache: dict[int, ExpectedCorrelation] = {}
         # Support -> message of the overflow its simulation raised.

@@ -6,12 +6,13 @@ ceil(gamma_min * (|Q| - 1)) other members, and which is maximal: no strict
 superset satisfying the same degree rule exists. The reported density of a
 set is min_v deg_Q(v) / (|Q| - 1).
 
-The search walks a set-enumeration tree over the view's vertices, which
-carry a canonical order (ascending degree in the z-core-reduced view, ties
-by id). Each node is a pair (chosen, extensions) of disjoint bitmasks; its
-children extend ``chosen`` by one vertex each, taken in some branching
-order, and drop the extensions branched on before them, so they partition
-the subtree. Every walk is depth-first, in pre-order, on a list stack, and
+The search walks a set-enumeration tree over the z-core of the view's
+members (``vertex_prune``, which calls ``graph.z_core``), read from the
+view's shared adjacency into bitmasks. The vertices carry a canonical order
+(ascending degree in the core, ties by id). Each node is a pair (chosen,
+extensions) of disjoint bitmasks; its children extend ``chosen`` by one
+vertex each, taken in some branching order, and drop the extensions
+branched on before them, so they partition the subtree. Every walk is depth-first, in pre-order, on a list stack, and
 all of them share one child generator. There are two:
 
 * the maximal walk, in canonical order, which keeps a subset-free pool of
@@ -43,12 +44,11 @@ Pruning applied at every node, all of it sound for the above outputs:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .graph import GraphView
+from .graph import GraphView, z_core
 
 DEFAULT_EXPANSION_BUDGET = 50_000_000
 
@@ -122,53 +122,25 @@ def is_gamma_dense(view: GraphView, q, params: QuasiCliqueParams) -> bool:
     Maximality is not checked here.
     """
     qset = set(q)
-    if not qset <= set(view.members):
+    if not qset <= view.member_set:
         raise ValueError("q must be a subset of the view's members")
-    size = len(qset)
-    if size < params.min_size:
-        return False
-    need = params.degree_floor(size)
-    for v in qset:
-        deg = sum(1 for u in view.neighbors(v) if u in qset)
-        if deg < need:
-            return False
-    return True
-
-
-def _restrict_view(view: GraphView, keep: set) -> GraphView:
-    members = tuple(v for v in view.members if v in keep)
-    local = tuple(
-        tuple(u for u in view.local_adjacency[i] if u in keep)
-        for i, v in enumerate(view.members)
-        if v in keep
+    need = params.degree_floor(len(qset))
+    return len(qset) >= params.min_size and all(
+        len(qset.intersection(view.neighbors(v))) >= need for v in qset
     )
-    return GraphView(members=members, local_adjacency=local)
 
 
 def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
-    """Iteratively remove vertices below the z degree floor (z-core reduction).
+    """The view on the z-core of the view's members (``graph.z_core``).
 
     No quasi-clique member is ever removed, so the returned view contains all
     quasi-cliques of the input view. A view that is already its own z-core
     is returned as is.
     """
-    z = params.z
-    if min(map(len, view.local_adjacency), default=z) >= z:
+    core = z_core(view.adjacency, view.members, params.z)
+    if len(core) == len(view.members):
         return view
-    degrees = {v: len(view.local_adjacency[i]) for i, v in enumerate(view.members)}
-    alive = set(view.members)
-    queue = deque(v for v, d in degrees.items() if d < z)
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in view.neighbors(v):
-            if u in alive:
-                degrees[u] -= 1
-                if degrees[u] < z:
-                    queue.append(u)
-    return _restrict_view(view, alive)
+    return GraphView(tuple(core), view.adjacency)
 
 
 class _ViewSearch:
@@ -176,20 +148,14 @@ class _ViewSearch:
 
     def __init__(self, view: GraphView, params: QuasiCliqueParams, budget: int):
         core = vertex_prune(view, params)
+        inside = core.member_set.intersection
+        nbrs = {v: inside(core.adjacency[v]) for v in core.members}
         # Canonical order: ascending degree in the pruned view, ties by id.
-        degree = {v: len(core.local_adjacency[i]) for i, v in enumerate(core.members)}
-        order = sorted(core.members, key=lambda v: (degree[v], v))
-        pos = {v: p for p, v in enumerate(order)}
+        order = sorted(core.members, key=lambda v: (len(nbrs[v]), v))
+        bit = {v: 1 << p for p, v in enumerate(order)}
+        # The bits of distinct neighbours are distinct, so their sum is their OR.
+        adj = [sum(map(bit.__getitem__, nbrs[v])) for v in order]
         n = len(order)
-        adj = [0] * n
-        for i, v in enumerate(core.members):
-            p = pos[v]
-            acc = 0
-            for u in core.local_adjacency[i]:
-                acc |= 1 << pos[u]
-            adj[p] = acc
-        self.params = params
-        self.z = params.z
         self.min_size = params.min_size
         self.adj = adj
         self.n = n

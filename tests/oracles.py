@@ -23,7 +23,7 @@ def degree_need(gamma: Fraction, size: int) -> int:
 
 def dense_subsets(view: GraphView, gamma: Fraction, min_size: int):
     """Every admissible vertex set of the view, by full subset enumeration."""
-    adj = {v: set(view.local_adjacency[i]) for i, v in enumerate(view.members)}
+    adj = {v: set(view.neighbors(v)) for v in view.members}
     found = []
     for r in range(min_size, len(view.members) + 1):
         need = degree_need(gamma, r)
@@ -36,7 +36,7 @@ def dense_subsets(view: GraphView, gamma: Fraction, min_size: int):
 def brute_maximal(view: GraphView, gamma: Fraction, min_size: int):
     """Maximal admissible sets as sorted (vertices, density) pairs."""
     dense = dense_subsets(view, gamma, min_size)
-    adj = {v: set(view.local_adjacency[i]) for i, v in enumerate(view.members)}
+    adj = {v: set(view.neighbors(v)) for v in view.members}
     out = []
     for q in dense:
         if any(q < other for other in dense):

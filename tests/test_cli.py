@@ -113,6 +113,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"input error: {bad}, line 3: not UTF-8 text: invalid start byte\n"
 
+    @pytest.mark.parametrize("which, line, message", [
+        ("graph", b"x 3\n", "expected a vertex id, got 'x'"),
+        ("attributes", b"-4 t\n", "vertex id must be non-negative, got -4"),
+    ], ids=["graph", "attributes"])
+    def test_format_error_names_the_file(self, tmp_path, example_paths, capsys, which, line,
+                                         message):
+        # A parse error names its file, as a non-UTF-8 line in it does.
+        edges, attrs = (tmp_path / "bad.edges", tmp_path / "bad.attrs")
+        edges.write_bytes(example_paths[0].read_bytes())
+        attrs.write_bytes(example_paths[1].read_bytes())
+        bad = edges if which == "graph" else attrs
+        lines = bad.read_bytes().splitlines(keepends=True)
+        lines.insert(1, line)
+        bad.write_bytes(b"".join(lines))
+        assert run_cli(tmp_path, (edges, attrs)) == 2
+        assert capsys.readouterr().err == f"input error: {bad}, line 2: {message}\n"
+
     @pytest.mark.parametrize("which", ["graph", "attributes"])
     def test_byte_order_mark_is_skipped(self, tmp_path, example_paths, which):
         # The mark precedes a vertex id: the comment lines are dropped.

@@ -233,12 +233,12 @@ class TestInducedView:
         lines, attr_guard = random_graph_lines(rng, 20, 0.2)
         g = make_graph(lines, attr_guard)
         view = induced_view(g, tuple(range(g.vertex_count)))
-        assert view.local_adjacency == tuple(tuple(a) for a in g.adjacency)
+        assert [view.neighbors(v) for v in view.members] == [tuple(a) for a in g.adjacency]
 
     def test_single_vertex_view(self, example_graph):
         view = induced_view(example_graph, (3,))
         assert view.members == (3,)
-        assert view.local_adjacency == ((),)
+        assert view.neighbors(3) == ()
 
     def test_random_subsets_match_quadratic_oracle(self):
         rng = random.Random(23)
@@ -252,23 +252,32 @@ class TestInducedView:
             view = induced_view(g, members)
             mset = set(members)
             expected = {(v, u) for v, u in full_edges if v in mset and u in mset}
-            got = {
-                (v, u)
-                for i, v in enumerate(view.members)
-                for u in view.local_adjacency[i]
-                if v < u
-            }
+            got = {(v, u) for v in view.members for u in view.neighbors(v) if v < u}
             assert got == expected
 
     def test_rejects_unknown_member(self, example_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 99 is not in the graph$"):
             induced_view(example_graph, (0, 99))
+        with pytest.raises(ValueError, match=r"^vertex -1 is not in the graph$"):
+            induced_view(example_graph, (-1, 0, 99))
+        # The first member outside the graph is named, not the last.
+        with pytest.raises(ValueError, match=r"^vertex 50 is not in the graph$"):
+            induced_view(example_graph, (0, 50, 99))
 
     def test_rejects_unsorted_or_duplicate_members(self, example_graph):
-        with pytest.raises(ValueError):
+        message = r"^members must be strictly sorted and duplicate-free$"
+        with pytest.raises(ValueError, match=message):
             induced_view(example_graph, (3, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             induced_view(example_graph, (1, 1, 3))
+        # Order is checked before range.
+        with pytest.raises(ValueError, match=message):
+            induced_view(example_graph, (99, 1))
+
+    def test_shares_the_graph_adjacency(self, example_graph):
+        view = induced_view(example_graph, (0, 2, 4, 6, 8))
+        assert view.adjacency is example_graph.adjacency
+        assert induced_view(example_graph, ()).adjacency is example_graph.adjacency
 
     def test_idempotent(self, example_graph):
         view = induced_view(example_graph, (0, 2, 4, 6, 8))
@@ -281,8 +290,8 @@ class TestInducedView:
         g = make_graph(lines, attr_guard)
         members = tuple(sorted(rng.sample(range(g.vertex_count), 18)))
         view = induced_view(g, members)
-        for i, v in enumerate(view.members):
-            assert len(view.local_adjacency[i]) <= len(g.adjacency[v])
+        for v in view.members:
+            assert len(view.neighbors(v)) <= len(g.adjacency[v])
 
     def test_attribute_induced_sets_anti_monotone(self, example_graph, example_index, example_ids):
         from scpm import vertex_set
@@ -296,7 +305,8 @@ class TestZCore:
     @staticmethod
     def core_of(g, members, params):
         """z_core of ``members``, checked against the round-by-round oracle
-        and against the engine's peel of the members' whole view."""
+        (the independent check) and against the members of the engine's
+        peel of the members' whole view, which calls z_core too."""
         core = z_core(g.adjacency, members, params.z)
         assert core == brute_z_core(g.adjacency, members, params.z)
         assert tuple(core) == vertex_prune(induced_view(g, members), params).members

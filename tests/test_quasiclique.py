@@ -18,7 +18,7 @@ from scpm import (
     vertex_set,
 )
 
-from oracles import as_pairs, brute_covered, brute_maximal, random_graph_lines
+from oracles import as_pairs, brute_covered, brute_maximal, brute_z_core, random_graph_lines
 
 P06_4 = QuasiCliqueParams(Fraction(3, 5), 4)
 GAMMAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(1)]
@@ -115,6 +115,35 @@ class TestVertexPrune:
         pruned = vertex_prune(view, QuasiCliqueParams(Fraction(1, 2), 4))
         assert pruned.members == ()
 
+    def test_core_view_is_returned_as_is(self):
+        rng = random.Random(78)
+        for _ in range(40):
+            view = random_view(rng, 20, 0.3)
+            params = QuasiCliqueParams(rng.choice(GAMMAS), rng.randint(3, 5))
+            pruned = vertex_prune(view, params)
+            assert vertex_prune(pruned, params) is pruned
+        complete = graph_from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        assert vertex_prune(complete, P06_4) is complete
+
+    def test_matches_brute_force_core(self):
+        # Random views that are not cores, as the exhaustive baseline hands
+        # the engine: whole postings, most of whose members are peeled.
+        rng = random.Random(79)
+        peeled = nonempty = 0
+        for _ in range(60):
+            n = rng.randint(10, 60)
+            lines, attrs = random_graph_lines(rng, n, rng.uniform(1.5, 8.0) / n)
+            g = load_graph(iter(lines), iter(attrs))
+            members = tuple(sorted(rng.sample(range(g.vertex_count), rng.randint(1, g.vertex_count))))
+            view = induced_view(g, members)
+            params = QuasiCliqueParams(rng.choice(GAMMAS), rng.randint(3, 5))
+            pruned = vertex_prune(view, params)
+            assert list(pruned.members) == brute_z_core(g.adjacency, members, params.z)
+            assert pruned.adjacency is g.adjacency
+            peeled += pruned is not view
+            nonempty += len(pruned) > 0
+        assert peeled and nonempty
+
     def test_never_loses_covered_vertices(self):
         rng = random.Random(77)
         for _ in range(40):
@@ -161,7 +190,7 @@ class TestEnumerateMaximal:
             view = random_view(rng, n, rng.choice([0.3, 0.5, 0.7]))
             expected = brute_maximal(view, gamma, min_size)
             got = as_pairs(enumerate_maximal(view, params))
-            assert got == expected, (view.members, view.local_adjacency)
+            assert got == expected, [(v, view.neighbors(v)) for v in view.members]
 
     def test_all_graphs_on_four_vertices(self):
         params = QuasiCliqueParams(Fraction(1, 2), 3)
