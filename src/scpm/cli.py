@@ -4,8 +4,12 @@ Outputs are two TSV files (correlation records and patterns), an optional
 directory of DOT exports, and a JSON manifest capturing everything needed
 to reproduce the run byte-for-byte.
 
+Every flag is declared once, in ``build_parser``: the manifest records the
+parsed namespace, ``manifest_to_argv`` rebuilds the argv from the parser's
+actions, and a config error names the flag whose dest it starts with.
+
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 expansion
-ceiling exceeded in fail-fast mode.
+ceiling exceeded in fail-fast mode, 4 an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,32 +36,16 @@ from .quasiclique import DEFAULT_EXPANSION_BUDGET, QuasiCliqueParams, SearchBudg
 RECORDS_HEADER = "# attribute_set\tsupport\teps\teps_exp\tdelta\tcovered_count"
 PATTERNS_HEADER = "# attribute_set\tsize\tdensity\tvertices"
 
-_SWEEP_PARAMS = {
-    "gamma": "gamma_min",
-    "gamma-min": "gamma_min",
-    "gamma_min": "gamma_min",
-    "min-size": "min_size",
-    "min_size": "min_size",
-    "sigma-min": "sigma_min",
-    "sigma_min": "sigma_min",
-}
-
-
-# Config field -> the flag that sets it. A config's ValueError starts with
-# the field's name, and the usage error names the flag instead.
-_FLAG_OF_FIELD = {
-    "sigma_min": "--sigma-min",
-    "min_size": "--min-size",
-    "eps_min": "--eps-min",
-    "delta_min": "--delta-min",
-    "samples": "--samples",
-    "max_set_size": "--max-set-size",
-    "expansion_budget": "--max-expansions",
-}
+# The dests --sweep can vary. PARAM names one with '-' or '_', or is "gamma".
+_SWEEPABLE = ("gamma_min", "min_size", "sigma_min")
 
 
 class UsageError(Exception):
     """Bad flags or flag values; maps to exit code 1."""
+
+
+class OutputError(Exception):
+    """An output file or directory that cannot be written; maps to exit code 4."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,8 +110,9 @@ def _parse_top_k(text: str) -> int | None:
 
 def _parse_sweep(text: str):
     name, sep, rng = text.partition("=")
-    param = _SWEEP_PARAMS.get(name.strip())
-    if not sep or param is None:
+    param = name.strip().replace("-", "_")
+    param = "gamma_min" if param == "gamma" else param
+    if not sep or param not in _SWEEPABLE:
         raise UsageError(f"--sweep: expected PARAM=START:END:STEP with PARAM one of "
                          f"gamma, min-size, sigma-min; got {text!r}")
     parts = rng.split(":")
@@ -162,23 +152,30 @@ def _config_from_args(args) -> MinerConfig:
             fail_fast=args.fail_fast,
         )
     except ValueError as exc:
+        # The message starts with the config field; name its flag instead.
         field, _, rest = str(exc).partition(" ")
-        flag = _FLAG_OF_FIELD.get(field)
-        raise UsageError(f"{flag} {rest}" if flag else str(exc)) from None
+        dest = "max_expansions" if field == "expansion_budget" else field
+        flags = {a.dest: a.option_strings[0] for a in build_parser()._actions}
+        raise UsageError(f"{flags[dest]} {rest}" if dest in flags else str(exc)) from None
 
 
-def _with_value(cfg: MinerConfig, param: str, value) -> MinerConfig:
-    qc = cfg.qc_params
-    try:
-        if param == "gamma_min":
-            qc = QuasiCliqueParams(gamma_min=value, min_size=qc.min_size)
-            return replace(cfg, qc_params=qc)
-        if param == "min_size":
-            qc = QuasiCliqueParams(gamma_min=qc.gamma_min, min_size=value)
-            return replace(cfg, qc_params=qc)
-        return replace(cfg, sigma_min=value)
-    except ValueError as exc:
-        raise UsageError(f"--sweep value {param}={value}: {exc}") from None
+def _runs(args) -> list[tuple[str | None, MinerConfig]]:
+    """The (block label, config) of every run: one unlabelled run, or one
+    per --sweep value, each checked before any run is mined."""
+    cfg = _config_from_args(args)
+    if not args.sweep:
+        return [(None, cfg)]
+    param, values = _parse_sweep(args.sweep)
+    runs = []
+    for value in values:
+        swept = argparse.Namespace(**{**vars(args), param: value})
+        try:
+            cfg = _config_from_args(swept)
+        except UsageError as exc:
+            raise UsageError(f"--sweep value {param}={value}: {exc}") from None
+        shown = f"{float(value):g}" if param == "gamma_min" else value
+        runs.append((f"{param}={shown}", cfg))
+    return runs
 
 
 def _attr_label(g: AttributedGraph, attrs: tuple[int, ...]) -> str:
@@ -189,31 +186,34 @@ def _format_delta(delta: float) -> str:
     return "inf" if math.isinf(delta) else f"{delta:.6g}"
 
 
-def records_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
-    lines = [f"# scpm records v{__version__}", f"# manifest: {manifest_name}", RECORDS_HEADER]
-    for label, records in blocks:
+def _tsv_text(kind: str, header: str, row, blocks, manifest_name: str) -> str:
+    """A TSV's header lines, then each block: its label line, if it has a
+    label, and one ``row(item)`` per item."""
+    lines = [f"# scpm {kind} v{__version__}", f"# manifest: {manifest_name}", header]
+    for label, items in blocks:
         if label is not None:
             lines.append(f"# block {label}")
-        for rec in records:
-            lines.append(
-                f"{_attr_label(g, rec.attribute_set)}\t{rec.support}\t{rec.eps:.6f}"
-                f"\t{rec.eps_exp.value:.5e}\t{_format_delta(rec.delta)}\t{len(rec.covered)}"
-            )
+        lines.extend(map(row, items))
     return "\n".join(lines) + "\n"
+
+
+def records_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
+    def row(rec):
+        return (
+            f"{_attr_label(g, rec.attribute_set)}\t{rec.support}\t{rec.eps:.6f}"
+            f"\t{rec.eps_exp.value:.5e}\t{_format_delta(rec.delta)}\t{len(rec.covered)}"
+        )
+
+    return _tsv_text("records", RECORDS_HEADER, row, blocks, manifest_name)
 
 
 def patterns_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
-    lines = [f"# scpm patterns v{__version__}", f"# manifest: {manifest_name}", PATTERNS_HEADER]
-    for label, patterns in blocks:
-        if label is not None:
-            lines.append(f"# block {label}")
-        for pat in patterns:
-            q = pat.quasi_clique
-            vertices = ",".join(str(g.original_id(v)) for v in q.vertices)
-            lines.append(
-                f"{_attr_label(g, pat.attribute_set)}\t{q.size}\t{float(q.density):.2f}\t{vertices}"
-            )
-    return "\n".join(lines) + "\n"
+    def row(pat):
+        q = pat.quasi_clique
+        vertices = ",".join(str(g.original_id(v)) for v in q.vertices)
+        return f"{_attr_label(g, pat.attribute_set)}\t{q.size}\t{float(q.density):.2f}\t{vertices}"
+
+    return _tsv_text("patterns", PATTERNS_HEADER, row, blocks, manifest_name)
 
 
 @dataclass(frozen=True)
@@ -318,27 +318,7 @@ def make_manifest(args, timings: dict, warnings: dict) -> dict:
         "tool": "scpm",
         "version": __version__,
         "mode": "naive" if args.baseline else "scpm",
-        "config": {
-            "graph": args.graph,
-            "attributes": args.attributes,
-            "sigma_min": args.sigma_min,
-            "gamma_min": args.gamma_min,
-            "min_size": args.min_size,
-            "eps_min": args.eps_min,
-            "delta_min": args.delta_min,
-            "top_k": args.top_k,
-            "null_model": args.null_model,
-            "samples": args.samples,
-            "seed": args.seed,
-            "baseline": args.baseline,
-            "max_set_size": args.max_set_size,
-            "sweep": args.sweep,
-            "out_records": args.out_records,
-            "out_patterns": args.out_patterns,
-            "export_dot": args.export_dot,
-            "fail_fast": args.fail_fast,
-            "max_expansions": args.max_expansions,
-        },
+        "config": vars(args),
         "inputs": {
             "graph": {"path": args.graph, "sha256": _sha256(args.graph)},
             "attributes": {"path": args.attributes, "sha256": _sha256(args.attributes)},
@@ -350,41 +330,21 @@ def make_manifest(args, timings: dict, warnings: dict) -> dict:
 
 
 def manifest_to_argv(manifest: dict) -> list[str]:
-    """Reconstruct the argv of the run a manifest describes."""
+    """Reconstruct the argv of the run a manifest describes: every flag of
+    ``build_parser`` with its recorded value. A switch is given when true and
+    a flag whose value is None is left out; keys of removed flags are
+    ignored."""
     cfg = manifest["config"]
-    argv = [
-        "--graph", cfg["graph"],
-        "--attributes", cfg["attributes"],
-        "--sigma-min", str(cfg["sigma_min"]),
-        "--gamma-min", str(cfg["gamma_min"]),
-        "--min-size", str(cfg["min_size"]),
-        "--eps-min", str(cfg["eps_min"]),
-        "--delta-min", str(cfg["delta_min"]),
-        "--top-k", str(cfg["top_k"]),
-        "--null-model", cfg["null_model"],
-        "--samples", str(cfg["samples"]),
-        "--seed", str(cfg["seed"]),
-        "--out-records", cfg["out_records"],
-        "--out-patterns", cfg["out_patterns"],
-        "--max-expansions", str(cfg["max_expansions"]),
-    ]
-    if cfg["baseline"]:
-        argv.append("--baseline")
-    if cfg["max_set_size"] is not None:
-        argv.extend(["--max-set-size", str(cfg["max_set_size"])])
-    if cfg["sweep"]:
-        argv.extend(["--sweep", cfg["sweep"]])
-    if cfg["export_dot"]:
-        argv.extend(["--export-dot", cfg["export_dot"]])
-    if cfg["fail_fast"]:
-        argv.append("--fail-fast")
+    argv = []
+    for action in build_parser()._actions:
+        if action.dest == "help":
+            continue
+        flag, value = action.option_strings[0], cfg[action.dest]
+        if isinstance(action, argparse._StoreTrueAction):
+            argv += [flag] if value else []
+        elif value is not None:
+            argv += [flag, str(value)]
     return argv
-
-
-def _block_label(param: str, value) -> str:
-    if param == "gamma_min":
-        return f"gamma_min={float(value):g}"
-    return f"{param}={value}"
 
 
 def _write_dot_exports(
@@ -414,9 +374,18 @@ def _decode_error(*paths: str) -> GraphFormatError:
     return GraphFormatError(f"{' or '.join(paths)} is not UTF-8 text")
 
 
+@contextmanager
+def _writing():
+    """Report an OSError from writing outputs as an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(str(exc)) from None
+
+
 def _run(args) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="scpm: %(message)s")
-    cfg = _config_from_args(args)
+    runs = _runs(args)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -438,50 +407,34 @@ def _run(args) -> int:
     mine = run_naive if args.baseline else run_scpm
 
     t0 = time.perf_counter()
-    if args.sweep:
-        param, values = _parse_sweep(args.sweep)
-        record_blocks = []
-        pattern_blocks = []
-        overflow = 0
-        expansions = 0
-        last_result = None
-        for value in values:
-            result = mine(g, index, _with_value(cfg, param, value))
-            label = _block_label(param, value)
-            record_blocks.append((label, result.records))
-            pattern_blocks.append((label, result.patterns))
-            overflow += len(result.stats.overflow_sets)
-            expansions += result.stats.expansions
-            last_result = result
-        result_for_dot = last_result
-    else:
-        result = mine(g, index, cfg)
-        record_blocks = [(None, result.records)]
-        pattern_blocks = [(None, result.patterns)]
-        overflow = len(result.stats.overflow_sets)
-        result_for_dot = result
-        expansions = result.stats.expansions
+    results = [(label, mine(g, index, cfg)) for label, cfg in runs]
     timings["mine_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     manifest_name = Path(args.out_records).name + ".manifest.json"
-    g_text = records_text(record_blocks, g, manifest_name)
-    p_text = patterns_text(pattern_blocks, g, manifest_name)
-    Path(args.out_records).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out_patterns).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out_records).write_text(g_text)
-    Path(args.out_patterns).write_text(p_text)
-    if args.export_dot and result_for_dot is not None:
-        _write_dot_exports(args.export_dot, result_for_dot, g, index)
+    outputs = (
+        (args.out_records, records_text([(lb, r.records) for lb, r in results], g, manifest_name)),
+        (args.out_patterns, patterns_text([(lb, r.patterns) for lb, r in results], g, manifest_name)),
+    )
+    with _writing():
+        for path, text in outputs:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            Path(path).write_text(text)
+        if args.export_dot:
+            # Under --sweep, the last block's patterns.
+            _write_dot_exports(args.export_dot, results[-1][1], g, index)
     timings["write_s"] = time.perf_counter() - t0
 
+    overflow = sum(len(r.stats.overflow_sets) for _, r in results)
     warnings = {"self_loops_dropped": g.dropped_self_loops, "overflow_sets": overflow}
     manifest = make_manifest(args, timings, warnings)
     manifest_path = Path(args.out_records).with_name(manifest_name)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _writing():
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    n_records = sum(len(b) for _, b in record_blocks)
-    n_patterns = sum(len(b) for _, b in pattern_blocks)
+    n_records = sum(len(r.records) for _, r in results)
+    n_patterns = sum(len(r.patterns) for _, r in results)
+    expansions = sum(r.stats.expansions for _, r in results)
     print(
         f"scpm: {n_records} record(s), {n_patterns} pattern(s) "
         f"in {timings['mine_s']:.2f}s, expansions={expansions}",
@@ -505,6 +458,9 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint():

@@ -132,18 +132,18 @@ class PatternRecord:
 
 
 @dataclass
-class MinerStats:
-    """Counters for one run: visited sets, engine expansions, aborted sets.
+class MinerStats(SearchStats):
+    """Counters for one run: engine expansions, visited sets, aborted sets.
 
-    ``expansions`` counts the searches of every searched set's view, of its
-    top-k patterns, and of the simulation samples drawn for the supports
-    that were scored, i.e. of sets whose eps reached eps_min. A set that
+    The walk hands this object to every search it runs, so ``expansions``
+    counts the searches of every searched set's view, of its top-k
+    patterns, and of the simulation samples drawn for the supports that
+    were scored, i.e. of sets whose eps reached eps_min. A set that
     ``run_scpm`` skips because its core is too small counts as visited and
     adds no expansion.
     """
 
     sets_visited: int = 0
-    expansions: int = 0
     overflow_sets: list[tuple[int, ...]] = field(default_factory=list)
 
 
@@ -298,19 +298,19 @@ def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
-    ``evaluate(attrs, mask, members, engine_stats)`` searches one set and
-    returns its coverage set, whether to extend it, and a callable that
-    yields its patterns. ``mask`` is the set's posting as a bitset and
-    ``members`` the sorted vertices its search runs on: the whole posting
-    for a singleton, else the posting ANDed with both parents' coverage
-    bitsets. A policy may skip the search of a set that can reach eps_min
-    neither itself nor through a superset: it returns an empty coverage
-    set, False and None. Only a set whose eps reaches eps_min can qualify,
-    so only such a set is scored against the null model; it is recorded,
-    with its patterns, when its delta reaches delta_min as well. Records and
-    patterns accumulate in discovery order. A set whose search, sample
-    search or pattern search overflows the budget is logged and dropped
-    with its subtree, unless fail_fast re-raises.
+    ``evaluate(attrs, mask, members, stats)`` searches one set, adding its
+    expansions to the run's ``stats``, and returns its coverage set, whether
+    to extend it, and a callable that yields its patterns. ``mask`` is the
+    set's posting as a bitset and ``members`` the sorted vertices its search
+    runs on: the whole posting for a singleton, else the posting ANDed with
+    both parents' coverage bitsets. A policy may skip the search of a set
+    that can reach eps_min neither itself nor through a superset: it returns
+    an empty coverage set, False and None. Only a set whose eps reaches
+    eps_min can qualify, so only such a set is scored against the null
+    model; it is recorded, with its patterns, when its delta reaches
+    delta_min as well. Records and patterns accumulate in discovery order. A
+    set whose search, sample search or pattern search overflows the budget
+    is logged and dropped with its subtree, unless fail_fast re-raises.
     """
 
     def __init__(
@@ -345,22 +345,19 @@ class _Walk:
         it to ``frontier`` if it is to be extended."""
         cfg = self.cfg
         stats = self.stats
-        engine_stats = SearchStats()
         cliques = None
         try:
-            covered, extend, patterns = self.evaluate(attrs, mask, members, engine_stats)
+            covered, extend, patterns = self.evaluate(attrs, mask, members, stats)
             if len(covered) / support >= cfg.eps_min:
-                rec = _score(attrs, support, covered, self.null, engine_stats)
+                rec = _score(attrs, support, covered, self.null, stats)
                 if _qualifies(rec, cfg):
                     cliques = patterns()
         except SearchBudgetExceeded as exc:
-            stats.expansions += engine_stats.expansions
             stats.overflow_sets.append(attrs)
             logger.warning("attribute set %s aborted: %s", attrs, exc)
             if cfg.fail_fast:
                 raise
             return
-        stats.expansions += engine_stats.expansions
         stats.sets_visited += 1
         if cliques is not None:
             self.records.append(rec)
@@ -408,7 +405,7 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
-    def evaluate(attrs, mask, members, engine_stats):
+    def evaluate(attrs, mask, members, stats):
         # The coverage set lies in the members' z-core. A core too small to
         # reach eps_min leaves the set unsearched, unrecorded and unextended.
         if not _can_reach_eps_min(len(members), cfg):
@@ -416,14 +413,14 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
         core = z_core(g.adjacency, members, cfg.qc_params.z)
         if not _can_reach_eps_min(len(core), cfg):
             return (), False, None
-        covered = _coverage(g, core, cfg, engine_stats)
+        covered = _coverage(g, core, cfg, stats)
 
         def patterns():
             # Every quasi-clique of the set's view lies in its coverage set,
             # so the view on that set has the same maximal family.
             view = induced_view(g, covered)
             return top_k_patterns(
-                view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=engine_stats
+                view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=stats
             )
 
         floor = null.expected(cfg.sigma_min) if gate_delta else None
@@ -440,10 +437,10 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
     built on its whole posting, decoded from its bitset.
     """
 
-    def evaluate(attrs, mask, members, engine_stats):
+    def evaluate(attrs, mask, members, stats):
         view = induced_view(g, tuple(_bits(mask)))
         cliques = enumerate_maximal(
-            view, cfg.qc_params, budget=cfg.expansion_budget, stats=engine_stats
+            view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats
         )
         covered = tuple(sorted({v for q in cliques for v in q.vertices}))
         return covered, True, lambda: cliques if cfg.k is None else cliques[: cfg.k]

@@ -17,6 +17,7 @@ from scpm import (
     vertex_set,
 )
 from scpm.cli import (
+    build_parser,
     export_pattern_dot,
     main,
     manifest_to_argv,
@@ -159,6 +160,16 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    def test_records_under_a_regular_file_is_output_error(self, tmp_path, example_paths, capsys):
+        (tmp_path / "file").write_text("")
+        assert run_cli(tmp_path, example_paths, records="file/records.tsv") == 4
+        assert capsys.readouterr().err.startswith("output error: ")
+
+    def test_dot_dir_naming_a_file_is_output_error(self, tmp_path, example_paths, capsys):
+        (tmp_path / "dots").write_text("")
+        assert run_cli(tmp_path, example_paths, "--export-dot", str(tmp_path / "dots")) == 4
+        assert capsys.readouterr().err.startswith("output error: ")
+
 
 class TestExampleRun:
     def test_outputs_match_reference_rows(self, tmp_path, example_paths):
@@ -263,6 +274,28 @@ class TestManifest:
         assert (tmp_path / "records.tsv").read_bytes() == first_records
         assert (tmp_path / "patterns.tsv").read_bytes() == first_patterns
 
+    def test_every_flag_replays(self):
+        # Each flag at a value other than its default, so a flag that
+        # manifest_to_argv drops or mangles changes the parsed namespace.
+        argv = []
+        for action in build_parser()._actions:
+            flag = action.option_strings[0]
+            if action.dest == "help":
+                continue
+            if action.nargs == 0:
+                argv.append(flag)
+            elif action.choices:
+                argv += [flag, next(c for c in action.choices if c != action.default)]
+            elif action.type in (int, float):
+                argv += [flag, str(action.type((action.default or 0) + 2))]
+            else:
+                argv += [flag, f"{action.dest} value"]
+        args = build_parser().parse_args(argv)
+        assert all(getattr(args, a.dest) != a.default for a in build_parser()._actions
+                   if a.dest != "help")
+        config = json.loads(json.dumps(vars(args)))
+        assert build_parser().parse_args(manifest_to_argv({"config": config})) == args
+
 
 class TestSweep:
     def test_gamma_sweep_produces_blocks(self, tmp_path, example_paths):
@@ -302,6 +335,23 @@ class TestSweep:
             singles.append(expansions())
         run_cli(tmp_path, example_paths, "--sweep", "min-size=3:5:1")
         assert expansions() == sum(singles) > 0
+
+    def test_every_value_is_checked_before_mining(self, tmp_path, example_paths, monkeypatch,
+                                                  capsys):
+        import scpm.cli
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return run_scpm(*args)
+
+        monkeypatch.setattr(scpm.cli, "run_scpm", counting)
+        assert run_cli(tmp_path, example_paths, "--sweep", "gamma=0.9:1.1:0.1") == 1
+        assert calls == []
+        assert not (tmp_path / "records.tsv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --sweep value gamma_min=11/10: --gamma-min must be")
 
     def test_bad_sweep_is_usage_error(self, tmp_path, example_paths):
         assert run_cli(tmp_path, example_paths, "--sweep", "bogus=1:2:1") == 1
