@@ -19,9 +19,9 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -374,13 +374,47 @@ def _decode_error(*paths: str) -> GraphFormatError:
     return GraphFormatError(f"{' or '.join(paths)} is not UTF-8 text")
 
 
-@contextmanager
-def _writing():
-    """Report an OSError from writing outputs as an OutputError."""
+def _stage(staged: list[tuple[Path, Path]], path: str | Path, text: str):
+    """Write ``text`` to a temporary file beside ``path`` and note the pair."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temp = target.with_name(f".{target.name}.{os.getpid()}.{len(staged)}.tmp")
+    staged.append((temp, target))
+    temp.write_text(text)
+
+
+def _write_outputs(args, results, g: AttributedGraph, index: AttributeIndex, timings: dict):
+    """Write the DOT exports, then the records, patterns and manifest.
+
+    The last three are staged beside their targets and moved into place only
+    once every write has succeeded, so an output error (raised as an
+    OutputError) leaves the previous run's files as they were and no staged
+    file behind."""
+    t0 = time.perf_counter()
+    manifest_name = Path(args.out_records).name + ".manifest.json"
+    staged: list[tuple[Path, Path]] = []
     try:
-        yield
+        if args.export_dot:
+            # Under --sweep, the last block's patterns.
+            _write_dot_exports(args.export_dot, results[-1][1], g, index)
+        blocks = [(lb, r.records) for lb, r in results]
+        _stage(staged, args.out_records, records_text(blocks, g, manifest_name))
+        blocks = [(lb, r.patterns) for lb, r in results]
+        _stage(staged, args.out_patterns, patterns_text(blocks, g, manifest_name))
+        timings["write_s"] = time.perf_counter() - t0
+
+        overflow = sum(len(r.stats.overflow_sets) for _, r in results)
+        warnings = {"self_loops_dropped": g.dropped_self_loops, "overflow_sets": overflow}
+        manifest = make_manifest(args, timings, warnings)
+        manifest_path = Path(args.out_records).with_name(manifest_name)
+        _stage(staged, manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for temp, target in staged:
+            os.replace(temp, target)
     except OSError as exc:
         raise OutputError(str(exc)) from None
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
 
 
 def _run(args) -> int:
@@ -410,27 +444,7 @@ def _run(args) -> int:
     results = [(label, mine(g, index, cfg)) for label, cfg in runs]
     timings["mine_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    manifest_name = Path(args.out_records).name + ".manifest.json"
-    outputs = (
-        (args.out_records, records_text([(lb, r.records) for lb, r in results], g, manifest_name)),
-        (args.out_patterns, patterns_text([(lb, r.patterns) for lb, r in results], g, manifest_name)),
-    )
-    with _writing():
-        for path, text in outputs:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-            Path(path).write_text(text)
-        if args.export_dot:
-            # Under --sweep, the last block's patterns.
-            _write_dot_exports(args.export_dot, results[-1][1], g, index)
-    timings["write_s"] = time.perf_counter() - t0
-
-    overflow = sum(len(r.stats.overflow_sets) for _, r in results)
-    warnings = {"self_loops_dropped": g.dropped_self_loops, "overflow_sets": overflow}
-    manifest = make_manifest(args, timings, warnings)
-    manifest_path = Path(args.out_records).with_name(manifest_name)
-    with _writing():
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_outputs(args, results, g, index, timings)
 
     n_records = sum(len(r.records) for _, r in results)
     n_patterns = sum(len(r.patterns) for _, r in results)

@@ -7,16 +7,19 @@ form the next class. The miners differ only in the policy that searches
 one attribute set, finds its patterns and decides whether to extend it.
 
 Every vertex set of the walk is an int bitset (bit v set for vertex v). A
-frequent singleton's posting list becomes its bitset when it is visited;
-below the singletons no posting list is merged. A candidate's posting is
-the AND of its parents' bitsets and its support the bit count of that AND,
-so a candidate below sigma_min is skipped before its attribute set is
-formed. A visited set's coverage set is kept as a bitset too, and the
-members a child's search runs on are decoded from its posting ANDed with
-both parents' coverage bitsets: a few vertices, not the whole posting.
+frequent singleton's posting list becomes its bitset before its class is
+visited; below the singletons no posting list is merged. A candidate's
+posting is the AND of its parents' bitsets and its support the bit count of
+that AND, so a candidate below sigma_min is skipped before its attribute
+set is formed. Each pair of a class is ANDed once, before the class is
+visited; a candidate whose joins all fall below sigma_min is closed: it has
+no descendant in the walk. A visited set's coverage set is kept as a bitset
+too, and the members a child's search runs on are decoded from its posting
+ANDed with both parents' coverage bitsets: a few vertices, not the whole
+posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
-six prunings, the last of which the exhaustive one shares:
+seven prunings, the last of which the exhaustive one shares:
 
 * each child's quasi-clique search is restricted to the intersection of its
   parents' coverage sets (no quasi-clique can leave them),
@@ -28,6 +31,11 @@ six prunings, the last of which the exhaustive one shares:
   coverage set lies in the core, so a smaller core gives eps below eps_min
   and fails the extension test below. Such a set is visited but gets no
   view, no score and no children; with eps_min 0 nothing is skipped,
+* a closed set is searched only when its members, and then its core,
+  number at least eps_min times its own support (tested as count / support
+  >= eps_min, the division eps is computed with): it has no superset in
+  the walk, so only its own record needs its coverage set, and that record
+  needs eps = covered_count / support >= eps_min,
 * an attribute set is extended only while covered_count / sigma_min >=
   eps_min and, under the analytical null model, normalized_delta(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
@@ -41,10 +49,11 @@ six prunings, the last of which the exhaustive one shares:
   eps_min is not recorded whatever its delta. Such a set gets no record,
   and whether it is extended depends on its coverage set alone.
 
-The exhaustive baseline extends every frequent attribute set, fully
-enumerates the quasi-cliques of each induced graph (the view of its whole
-posting, decoded from its bitset), and applies the same
-output filters, so both miners emit identical record and pattern sets. A
+The exhaustive baseline searches every frequent attribute set, extends
+every one that is not closed, fully enumerates the quasi-cliques of each
+induced graph (the view of its whole posting, decoded from its bitset), and
+applies the same output filters, so both miners emit identical record and
+pattern sets. A
 set whose search overflows the expansion budget is neither recorded nor
 extended by either miner.
 """
@@ -139,8 +148,9 @@ class MinerStats(SearchStats):
     counts the searches of every searched set's view, of its top-k
     patterns, and of the simulation samples drawn for the supports that
     were scored, i.e. of sets whose eps reached eps_min. A set that
-    ``run_scpm`` skips because its core is too small counts as visited and
-    adds no expansion.
+    ``run_scpm`` skips because its core is too small, for eps_min times
+    sigma_min or, when the set is closed, times its own support, counts as
+    visited and adds no expansion.
     """
 
     sets_visited: int = 0
@@ -160,13 +170,16 @@ class MiningResult:
 
 @dataclass
 class _Entry:
-    """Frontier entry: attribute set, its support, and as int bitsets its
-    posting and its coverage set."""
+    """Frontier entry: attribute set, its support, as int bitsets its
+    posting and its coverage set, its position in its class, and its joins
+    that reach sigma_min, by the class position of the other candidate."""
 
     attrs: tuple[int, ...]
     support: int
     mask: int
     covered: int
+    pos: int
+    joins: dict[int, int]
 
 
 def _bitset(vertices: tuple[int, ...]) -> int:
@@ -198,13 +211,15 @@ def _coverage(
     return covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
 
 
-def _can_reach_eps_min(count: int, cfg: MinerConfig) -> bool:
-    """Whether a coverage set of at most ``count`` vertices can give its set
-    or a superset eps >= eps_min. eps is at most count / sigma_min; the test
-    divides and compares as prune_extension's first test does, and
-    correctly rounded division is monotone, so a False here means
-    prune_extension would return False and eps would fall below eps_min."""
-    return count / cfg.sigma_min >= cfg.eps_min
+def _can_reach_eps_min(count: int, divisor: int, cfg: MinerConfig) -> bool:
+    """Whether a coverage set of at most ``count`` vertices can give eps >=
+    eps_min to a set whose eps, and its supersets', is at most count /
+    ``divisor``: sigma_min for a set that may be extended, its own support
+    for a closed one. The test divides and compares as eps is computed
+    (``_Walk._visit``, prune_extension's first test), and correctly rounded
+    division is monotone, so a False here means eps falls below eps_min and
+    prune_extension would return False."""
+    return count / divisor >= cfg.eps_min
 
 
 def _score(
@@ -298,19 +313,28 @@ def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
-    ``evaluate(attrs, mask, members, stats)`` searches one set, adding its
-    expansions to the run's ``stats``, and returns its coverage set, whether
-    to extend it, and a callable that yields its patterns. ``mask`` is the
-    set's posting as a bitset and ``members`` the sorted vertices its search
-    runs on: the whole posting for a singleton, else the posting ANDed with
-    both parents' coverage bitsets. A policy may skip the search of a set
-    that can reach eps_min neither itself nor through a superset: it returns
-    an empty coverage set, False and None. Only a set whose eps reaches
-    eps_min can qualify, so only such a set is scored against the null
-    model; it is recorded, with its patterns, when its delta reaches
-    delta_min as well. Records and patterns accumulate in discovery order. A
-    set whose search, sample search or pattern search overflows the budget
-    is logged and dropped with its subtree, unless fail_fast re-raises.
+    A class is the frequent singletons, or the children of one base. Before
+    a class is visited, each pair of its candidates is ANDed once: a
+    candidate whose joins all fall below sigma_min is *closed*, since it can
+    have no descendant in the walk, and the frequent joins of the others
+    are kept on their entries, so ``_extend`` forms their children without
+    ANDing again. When max_set_size forbids the next level every candidate
+    is closed. A closed set never joins the frontier.
+
+    ``evaluate(attrs, mask, members, stats, closed)`` searches one set,
+    adding its expansions to the run's ``stats``, and returns its coverage
+    set, whether to extend it, and a callable that yields its patterns.
+    ``mask`` is the set's posting as a bitset and ``members`` the sorted
+    vertices its search runs on: the whole posting for a singleton, else the
+    posting ANDed with both parents' coverage bitsets. A policy may skip the
+    search of a set that can reach eps_min neither itself nor, unless it is
+    closed, through a superset: it returns an empty coverage set, False and
+    None. Only a set whose eps reaches eps_min can qualify, so only such a
+    set is scored against the null model; it is recorded, with its
+    patterns, when its delta reaches delta_min as well. Records and patterns
+    accumulate in discovery order. A set whose search, sample search or
+    pattern search overflows the budget is logged and dropped with its
+    subtree, unless fail_fast re-raises.
     """
 
     def __init__(
@@ -332,22 +356,44 @@ class _Walk:
         if cfg.sigma_min <= g.vertex_count:
             singles = frequent_attributes(index, cfg.sigma_min)
             singles.sort(key=lambda e: (len(e[1]), e[0]))
-            frontier: list[_Entry] = []
-            for attrs, posting in singles:
-                self._visit(attrs, len(posting), _bitset(posting), posting, frontier)
-            if cfg.max_set_size is None or cfg.max_set_size > 1:
-                for i in range(len(frontier)):
-                    self._extend(frontier, i)
+            frontier = self._visit_class(
+                [(attrs, len(posting), _bitset(posting), posting) for attrs, posting in singles]
+            )
+            for i in range(len(frontier)):
+                self._extend(frontier, i)
         return MiningResult(self.records, self.patterns, self.stats)
 
-    def _visit(self, attrs, support, mask, members, frontier: list[_Entry]):
-        """Search one set, score it if its eps reaches eps_min, and append
-        it to ``frontier`` if it is to be extended."""
+    def _visit_class(self, candidates) -> list[_Entry]:
+        """Mark the closed candidates of one class, visit every candidate in
+        order, and return the entries to extend, sorted by ascending support
+        (ties by attribute set). A candidate is (attrs, support, mask,
+        members)."""
+        cfg = self.cfg
+        joins: list[dict[int, int]] = [{} for _ in candidates]
+        if candidates and (cfg.max_set_size is None or len(candidates[0][0]) < cfg.max_set_size):
+            masks = [c[2] for c in candidates]
+            for a in range(1, len(masks)):
+                mask_a = masks[a]
+                for b in range(a):
+                    join = mask_a & masks[b]
+                    if join.bit_count() >= cfg.sigma_min:
+                        joins[a][b] = joins[b][a] = join
+        frontier: list[_Entry] = []
+        for pos, (attrs, support, mask, members) in enumerate(candidates):
+            covered = self._visit(attrs, support, mask, members, not joins[pos])
+            if covered is not None and joins[pos]:
+                frontier.append(_Entry(attrs, support, mask, _bitset(covered), pos, joins[pos]))
+        frontier.sort(key=lambda e: (e.support, e.attrs))
+        return frontier
+
+    def _visit(self, attrs, support, mask, members, closed: bool) -> tuple[int, ...] | None:
+        """Search one set and score it if its eps reaches eps_min; return its
+        coverage set if it is to be extended, else None."""
         cfg = self.cfg
         stats = self.stats
         cliques = None
         try:
-            covered, extend, patterns = self.evaluate(attrs, mask, members, stats)
+            covered, extend, patterns = self.evaluate(attrs, mask, members, stats, closed)
             if len(covered) / support >= cfg.eps_min:
                 rec = _score(attrs, support, covered, self.null, stats)
                 if _qualifies(rec, cfg):
@@ -357,35 +403,31 @@ class _Walk:
             logger.warning("attribute set %s aborted: %s", attrs, exc)
             if cfg.fail_fast:
                 raise
-            return
+            return None
         stats.sets_visited += 1
         if cliques is not None:
             self.records.append(rec)
             self.patterns.extend(PatternRecord(attrs, q) for q in cliques)
-        if extend:
-            frontier.append(_Entry(attrs, support, mask, _bitset(covered)))
+        return covered if extend else None
 
     def _extend(self, entries: list[_Entry], i: int):
-        """Union entry i with every earlier sibling, then recurse per class.
+        """Union entry i with every earlier sibling it has a frequent join
+        with, visit those children as one class, then recurse per class.
 
-        A candidate's support is the bit count of its parents' posting AND;
-        only a candidate that reaches sigma_min forms its attribute set and
+        Only a join that reaches sigma_min forms its attribute set and
         decodes the members its search runs on.
         """
-        cfg = self.cfg
         base = entries[i]
-        children: list[_Entry] = []
+        candidates = []
         for other in entries[:i]:
-            mask = base.mask & other.mask
-            support = mask.bit_count()
-            if support < cfg.sigma_min:
-                continue
-            attrs = _union_attrs(base.attrs, other.attrs)
-            if cfg.max_set_size is not None and len(attrs) > cfg.max_set_size:
-                continue
-            members = tuple(_bits(mask & base.covered & other.covered))
-            self._visit(attrs, support, mask, members, children)
-        children.sort(key=lambda e: (e.support, e.attrs))
+            mask = base.joins.get(other.pos)
+            if mask is not None:
+                attrs = _union_attrs(base.attrs, other.attrs)
+                members = tuple(_bits(mask & base.covered & other.covered))
+                candidates.append((attrs, mask.bit_count(), mask, members))
+        # Spent: a later sibling finds its join with entry i in its own joins.
+        base.joins = {}
+        children = self._visit_class(candidates)
         for ci in range(len(children)):
             self._extend(children, ci)
 
@@ -397,7 +439,9 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     satisfies eps >= eps_min and delta >= delta_min, plus its top-k patterns,
     in depth-first discovery order. Sets failing the extension tests are
     reported (when they qualify) but never extended. A set whose members'
-    z-core is too small to reach eps_min is visited without a search. A
+    z-core is too small to reach eps_min is visited without a search: too
+    small for eps_min * sigma_min, or for a closed set, which has no
+    frequent join in its class, eps_min times its own support. A
     search that overflows, on the set's view or on a simulation sample drawn
     to score it, drops that set unreported and unextended unless fail_fast
     is set.
@@ -405,13 +449,16 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
-    def evaluate(attrs, mask, members, stats):
+    def evaluate(attrs, mask, members, stats, closed):
         # The coverage set lies in the members' z-core. A core too small to
-        # reach eps_min leaves the set unsearched, unrecorded and unextended.
-        if not _can_reach_eps_min(len(members), cfg):
+        # reach eps_min leaves the set unsearched, unrecorded and unextended;
+        # a closed set has no superset in the walk, so its own support bounds
+        # its eps.
+        divisor = mask.bit_count() if closed else cfg.sigma_min
+        if not _can_reach_eps_min(len(members), divisor, cfg):
             return (), False, None
         core = z_core(g.adjacency, members, cfg.qc_params.z)
-        if not _can_reach_eps_min(len(core), cfg):
+        if not _can_reach_eps_min(len(core), divisor, cfg):
             return (), False, None
         covered = _coverage(g, core, cfg, stats)
 
@@ -437,7 +484,7 @@ def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Mi
     built on its whole posting, decoded from its bitset.
     """
 
-    def evaluate(attrs, mask, members, stats):
+    def evaluate(attrs, mask, members, stats, closed):
         view = induced_view(g, tuple(_bits(mask)))
         cliques = enumerate_maximal(
             view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats

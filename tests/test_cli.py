@@ -165,6 +165,23 @@ class TestExitCodes:
         assert run_cli(tmp_path, example_paths, records="file/records.tsv") == 4
         assert capsys.readouterr().err.startswith("output error: ")
 
+    def test_failed_write_keeps_the_previous_run(self, tmp_path, example_paths, capsys):
+        # The second run's records would be written before its patterns
+        # fail; nothing of it may reach the previous run's outputs.
+        assert run_cli(tmp_path, example_paths, records="r.tsv", patterns="p.tsv") == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        (tmp_path / "file").write_text("")
+        code = run_cli(
+            tmp_path, example_paths, "--min-size", "3", records="r.tsv", patterns="file/p.tsv"
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("output error: ")
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "file"}
+        assert after == before
+        manifest = json.loads((tmp_path / "r.tsv.manifest.json").read_text())
+        assert manifest["config"]["min_size"] == 4
+
     def test_dot_dir_naming_a_file_is_output_error(self, tmp_path, example_paths, capsys):
         (tmp_path / "dots").write_text("")
         assert run_cli(tmp_path, example_paths, "--export-dot", str(tmp_path / "dots")) == 4

@@ -499,14 +499,14 @@ def _recording_walk(evaluated, covered):
         def __init__(self, cfg, null, evaluate):
             self.siblings = None
 
-            def recorded(attrs, mask, members, stats):
+            def recorded(attrs, mask, members, stats, closed):
                 parents = None
                 if self.siblings is not None:
                     base, earlier = self.siblings
                     other = next(e for e in earlier if set(base.attrs) | set(e.attrs) == set(attrs))
                     parents = (base.attrs, other.attrs)
                 evaluated.append((attrs, mask, members, parents))
-                out = evaluate(attrs, mask, members, stats)
+                out = evaluate(attrs, mask, members, stats, closed)
                 covered[attrs] = out[0]
                 return out
 
@@ -696,6 +696,104 @@ class TestSkipSmallCores:
         assert tsv(tight) == tsv(loose)
 
 
+class TestClosedSets:
+    """A set whose joins with every sibling of its class fall below
+    sigma_min has no descendant in the walk, so run_scpm searches it only
+    when its core can reach eps_min times its own support."""
+
+    @staticmethod
+    def _searched_cores(monkeypatch):
+        import scpm.miner
+
+        searched = []
+
+        def recording(view, params, **kwargs):
+            searched.append(view.members)
+            return covered_vertices(view, params, **kwargs)
+
+        monkeypatch.setattr(scpm.miner, "covered_vertices", recording)
+        return searched
+
+    @staticmethod
+    def _assert_matches_naive(g, index, cfg, result):
+        naive = run_naive(g, index, cfg)
+        assert result.records == naive.records
+        assert result.patterns == naive.patterns
+        assert result.stats.sets_visited == naive.stats.sets_visited
+
+    def test_closed_set_is_searched_only_once_a_join_opens_it(self, monkeypatch):
+        # Tag s sits on a 6-clique with 9 isolated carriers, support 15; tag
+        # t on a 10-clique with the same 9 carriers, support 19. At
+        # sigma_min 10 and eps_min 0.5 the core of s reaches eps_min *
+        # sigma_min = 5 but not eps_min * 15 = 7.5. Their join has support
+        # 9, so both are closed and s is not searched. One more carrier of
+        # both lifts the join to 10: s is open and searched.
+        clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
+        edges = clique(range(6)) + clique(range(20, 30))
+        cfg = reference_config(sigma_min=10, eps_min=0.5)
+        core = tuple(range(6))
+        for opened in (False, True):
+            carriers = range(30, 40 if opened else 39)
+
+            def tags(v):
+                return (["s"] if v < 6 or v in carriers else []) + (
+                    ["t"] if 20 <= v < 30 or v in carriers else []
+                )
+
+            g = _graph(edges, tags, 40)
+            index = build_index(g)
+            with monkeypatch.context() as patch:
+                searched = self._searched_cores(patch)
+                result = run_scpm(g, index, cfg)
+            assert (core in searched) is opened
+            assert _labels(g, result.records) == ["t"]
+            assert result.stats.sets_visited == 2 + opened
+            self._assert_matches_naive(g, index, cfg, result)
+
+    @pytest.mark.parametrize(("clique_size", "support"), [(12, 100), (7, 25)])
+    def test_core_exactly_at_own_support_bound_is_searched(
+        self, clique_size, support, monkeypatch
+    ):
+        # eps_min is clique_size / support, computed as eps is. At 7 / 25 a
+        # test written as clique_size >= eps_min * support would fail:
+        # (7 / 25) * 25 is 7.000000000000001.
+        clique = [(u, v) for u in range(clique_size) for v in range(u + 1, clique_size)]
+        g = _graph(clique, lambda v: ["tag"] if v < support else [], support + 1)
+        index = build_index(g)
+        cfg = reference_config(sigma_min=support // 2, eps_min=clique_size / support)
+        searched = self._searched_cores(monkeypatch)
+        result = run_scpm(g, index, cfg)
+        assert searched == [tuple(range(clique_size))]
+        assert _labels(g, result.records) == ["tag"]
+        assert result.records[0].eps == cfg.eps_min
+        self._assert_matches_naive(g, index, cfg, result)
+
+    def test_max_set_size_at_singletons_closes_every_set(self, planted_2000, monkeypatch):
+        import scpm.miner
+
+        g, index = planted_2000
+        cfg = reference_config(sigma_min=100, eps_min=0.1, k=5, max_set_size=1)
+        flags = []
+
+        class Recording(scpm.miner._Walk):
+            def __init__(self, cfg, null, evaluate):
+                def recorded(attrs, mask, members, stats, closed):
+                    flags.append(closed)
+                    return evaluate(attrs, mask, members, stats, closed)
+
+                super().__init__(cfg, null, recorded)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scpm.miner, "_Walk", Recording)
+            searched = self._searched_cores(patch)
+            result = run_scpm(g, index, cfg)
+        assert flags and all(flags)
+        assert len(flags) == len(frequent_attributes(index, cfg.sigma_min))
+        assert 0 < len(searched) < result.stats.sets_visited
+        assert len(result.records) >= 20
+        self._assert_matches_naive(g, index, cfg, result)
+
+
 def _eager_walk(seen):
     """A lattice walk that scores every visited set against the null model,
     whatever its eps, and logs each set's (support, eps) in ``seen``."""
@@ -703,8 +801,8 @@ def _eager_walk(seen):
 
     class Eager(scpm.miner._Walk):
         def __init__(self, cfg, null, evaluate):
-            def scored(attrs, mask, members, stats):
-                out = evaluate(attrs, mask, members, stats)
+            def scored(attrs, mask, members, stats, closed):
+                out = evaluate(attrs, mask, members, stats, closed)
                 support = mask.bit_count()
                 seen.append((support, len(out[0]) / support))
                 null.expected(support, stats=stats)
