@@ -270,6 +270,11 @@ def parse_patterns(text: str) -> list[PatternRow]:
     return rows
 
 
+def _dot_quoted(value) -> str:
+    """``value`` as text to go between the quotes of a DOT string."""
+    return str(value).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_pattern_dot(
     pattern: PatternRecord,
     view: GraphView,
@@ -279,14 +284,12 @@ def export_pattern_dot(
     """DOT text with pattern members highlighted and the rest of the view dimmed."""
 
     def name(v):
-        text = str(labels[v]) if labels is not None else str(v)
-        return text.replace('"', '\\"')
+        return _dot_quoted(labels[v] if labels is not None else v)
 
     member_set = set(pattern.quasi_clique.vertices)
     lines = ["graph pattern {"]
     if title:
-        escaped = title.replace('"', '\\"')
-        lines.append(f'  label="{escaped}";')
+        lines.append(f'  label="{_dot_quoted(title)}";')
     for v in view.members:
         if v in member_set:
             lines.append(f'  "{name(v)}" [style=filled, fillcolor=gold];')

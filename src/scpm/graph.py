@@ -54,9 +54,6 @@ class AttributeDictionary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, attr_id: int) -> bool:
-        return 0 <= attr_id < len(self.id_to_token)
-
 
 @dataclass
 class AttributedGraph:
@@ -73,15 +70,6 @@ class AttributedGraph:
     attribute_dictionary: AttributeDictionary
     external_ids: tuple[int, ...]
     dropped_self_loops: int = 0
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def attrs_of(self, v: int) -> tuple[int, ...]:
-        return self.attributes[v]
 
     def original_id(self, v: int) -> int:
         return self.external_ids[v]

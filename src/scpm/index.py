@@ -2,12 +2,14 @@
 
 An attribute set is a strictly sorted tuple of dense attribute ids; its
 posting list is the sorted tuple of vertices carrying every attribute in
-the set, so support is just the posting-list length.
+the set, so support is just the posting-list length. The miner's lattice
+walk ANDs int bitsets of these postings instead; ``vertex_set`` (smallest
+posting first) and ``intersect_sorted`` are plain set intersections for the
+DOT export and library callers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -15,10 +17,6 @@ from .graph import AttributedGraph
 
 AttributeSet = tuple[int, ...]
 PostingList = tuple[int, ...]
-
-# Skewed intersections switch from linear merging to binary probing once the
-# longer list is this many times the shorter one.
-GALLOP_RATIO = 32
 
 
 @dataclass
@@ -39,60 +37,19 @@ def build_index(g: AttributedGraph) -> AttributeIndex:
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> PostingList:
-    """Intersection of two sorted sequences, galloping when heavily skewed."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return ()
-    if len(b) > GALLOP_RATIO * len(a):
-        out = []
-        lo = 0
-        hi = len(b)
-        for x in a:
-            lo = bisect_left(b, x, lo, hi)
-            if lo == hi:
-                break
-            if b[lo] == x:
-                out.append(x)
-                lo += 1
-        return tuple(out)
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
+    """Sorted intersection of two vertex sequences."""
+    return tuple(sorted(set(a).intersection(b)))
 
 
 def vertex_set(index: AttributeIndex, s: Iterable[int]) -> PostingList:
-    """Vertices containing every attribute of ``s`` (k-way intersection).
+    """Sorted vertices carrying every attribute of ``s``, in any order.
 
-    Unknown attribute ids yield an empty posting list. The intersection runs
-    smallest-list-first, so the result is order-insensitive in ``s``.
+    Unknown attribute ids yield an empty posting list; an empty ``s`` raises.
     """
-    lists = []
-    for a in set(s):
-        posting = index.posting.get(a)
-        if posting is None:
-            return ()
-        lists.append(posting)
+    lists = sorted((index.posting.get(a, ()) for a in set(s)), key=len)
     if not lists:
         raise ValueError("attribute set must be non-empty")
-    lists.sort(key=len)
-    acc = lists[0]
-    for other in lists[1:]:
-        if not acc:
-            break
-        acc = intersect_sorted(acc, other)
-    return tuple(acc)
+    return tuple(sorted(set(lists[0]).intersection(*lists[1:])))
 
 
 def frequent_attributes(index: AttributeIndex, sigma_min: int) -> list[tuple[AttributeSet, PostingList]]:

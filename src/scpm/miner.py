@@ -110,7 +110,7 @@ class MinerConfig:
             raise ValueError("sigma_min must be at least 1")
         if not 0.0 <= self.eps_min <= 1.0:
             raise ValueError("eps_min must be in [0, 1]")
-        if self.delta_min < 0.0:
+        if not self.delta_min >= 0.0:  # NaN fails every comparison
             raise ValueError("delta_min must be non-negative")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1 (or None for unlimited)")
@@ -242,30 +242,24 @@ def structural_correlation(
     s,
     cfg: MinerConfig,
     restriction: frozenset[int] | set[int] | None = None,
-    *,
-    posting: tuple[int, ...] | None = None,
-    null: NullModel | None = None,
-    stats: SearchStats | None = None,
 ) -> CorrelationRecord:
-    """Correlation record for attribute set ``s``.
+    """Correlation record for attribute set ``s``, scored against a null
+    model built from ``cfg``.
 
-    Support counts the full induced vertex set. The quasi-clique search runs
-    on the posting, restricted to ``restriction`` when one is supplied
-    (sound whenever the restriction contains every coverage set of a subset
-    of s), and only on the view of those members' z-core. The record is
-    scored against the null model whatever its eps; the miners consult the
-    null model only for a set whose eps reaches eps_min.
+    Support counts the full posting (``vertex_set``). The quasi-clique
+    search runs on the posting, restricted to ``restriction`` when one is
+    supplied (sound whenever the restriction contains every coverage set of
+    a subset of s), and only on the view of those members' z-core. The
+    record is scored whatever its eps; the miners consult the null model
+    only for a set whose eps reaches eps_min.
     """
     s = tuple(sorted(set(s)))
-    if posting is None:
-        posting = vertex_set(index, s)
+    posting = vertex_set(index, s)
     if not posting:
         raise ValueError(f"attribute set {s} has no supporting vertices")
     members = posting if restriction is None else tuple(v for v in posting if v in restriction)
-    covered = _coverage(g, z_core(g.adjacency, members, cfg.qc_params.z), cfg, stats)
-    if null is None:
-        null = _null_model(g, cfg)
-    return _score(s, len(posting), covered, null, stats)
+    covered = _coverage(g, z_core(g.adjacency, members, cfg.qc_params.z), cfg, None)
+    return _score(s, len(posting), covered, _null_model(g, cfg), None)
 
 
 def prune_extension(

@@ -59,7 +59,11 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class QuasiCliqueParams:
-    """Density threshold gamma_min in (0, 1] (exact rational) and minimum size."""
+    """Density threshold gamma_min in (0, 1] (exact rational) and minimum size.
+
+    A float gamma_min is read through its shortest repr, so 0.8 is 4/5 and
+    not the binary double just above it.
+    """
 
     gamma_min: Fraction
     min_size: int
@@ -67,7 +71,7 @@ class QuasiCliqueParams:
     def __post_init__(self):
         gamma = self.gamma_min
         if not isinstance(gamma, Fraction):
-            gamma = Fraction(gamma)
+            gamma = Fraction(repr(gamma) if isinstance(gamma, float) else gamma)
             object.__setattr__(self, "gamma_min", gamma)
         if not 0 < gamma <= 1:
             raise ValueError(f"gamma_min must be in (0, 1], got {gamma}")

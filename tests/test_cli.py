@@ -92,11 +92,12 @@ class TestExitCodes:
         (["--min-size", "1"], "--min-size must be at least 2, got 1"),
         (["--eps-min", "2"], "--eps-min must be in [0, 1]"),
         (["--delta-min", "-1"], "--delta-min must be non-negative"),
+        (["--delta-min", "nan"], "--delta-min must be non-negative"),
         (["--max-set-size", "0"], "--max-set-size must be at least 1"),
         (["--null-model", "simulation", "--samples", "0"],
          "--samples must be at least 1 for the simulation null model"),
-    ], ids=["sigma-min", "max-expansions", "min-size", "eps-min", "delta-min", "max-set-size",
-            "samples"])
+    ], ids=["sigma-min", "max-expansions", "min-size", "eps-min", "delta-min", "delta-min-nan",
+            "max-set-size", "samples"])
     def test_config_error_names_the_flag(self, tmp_path, example_paths, capsys, flags, message):
         assert run_cli(tmp_path, example_paths, *flags) == 1
         assert capsys.readouterr().err.splitlines()[0] == f"usage error: {message}"
@@ -402,6 +403,28 @@ class TestDotExport:
         pattern = PatternRecord((0,), QuasiClique(tuple(view.members[:3]), Fraction(1, 2)))
         text = export_pattern_dot(pattern, view)
         assert text.count("--") == view.edge_count
+
+    def test_backslash_and_quote_are_escaped(self):
+        view = induced_view(load_graph(iter(["0 1"]), iter([])), (0, 1))
+        pattern = PatternRecord((0,), QuasiClique((0, 1), Fraction(1)))
+        labels = {0: "a\\", 1: 'a"b'}
+        for title, quoted in [("a\\", "a\\\\"), ('a"b', 'a\\"b')]:
+            lines = export_pattern_dot(pattern, view, labels=labels, title=title).splitlines()
+            assert f'  label="{quoted}";' in lines
+        assert '  "a\\\\" -- "a\\"b" [penwidth=2];' in lines
+
+    def test_cli_export_escapes_attribute_tokens(self, tmp_path):
+        edges, attrs = tmp_path / "g.edges", tmp_path / "g.attrs"
+        edges.write_text("0 1\n1 2\n0 2\n")
+        attrs.write_text("0 a\\\n1 a\\\n2 a\\\n")
+        assert main([
+            "--graph", str(edges), "--attributes", str(attrs),
+            "--sigma-min", "3", "--gamma-min", "1", "--min-size", "3",
+            "--out-records", str(tmp_path / "r.tsv"), "--out-patterns", str(tmp_path / "p.tsv"),
+            "--export-dot", str(tmp_path / "dots"),
+        ]) == 0
+        text = (tmp_path / "dots" / "pattern_0000.dot").read_text()
+        assert '  label="a\\\\";' in text.splitlines()
 
     def test_cli_export_dir(self, tmp_path, example_paths):
         run_cli(tmp_path, example_paths, "--export-dot", str(tmp_path / "dots"))

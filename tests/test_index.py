@@ -82,7 +82,7 @@ def test_support_anti_monotone():
         assert sup <= sub
 
 
-def test_intersect_sorted_gallops_correctly():
+def test_intersect_sorted_skewed_lists():
     small = (5, 100, 5000, 5001)
     large = tuple(range(0, 10000, 2))
     expected = tuple(sorted(set(small) & set(large)))

@@ -533,11 +533,12 @@ class TestSupportGate:
 
         g, index, cfg = _instance(request, instance)
 
-        def merging(a, b):
+        def merging(*args):
             raise AssertionError("the walk merged two posting lists")
 
         monkeypatch.setattr(scpm.miner, "intersect_sorted", merging)
         monkeypatch.setattr(scpm.index, "intersect_sorted", merging)
+        monkeypatch.setattr(scpm.miner, "vertex_set", merging)
         singles = len(frequent_attributes(index, cfg.sigma_min))
         results = []
         for mine in (run_scpm, run_naive):
@@ -879,6 +880,10 @@ class TestConfigValidation:
             MinerConfig(qc_params=P06_4, delta_min=-1)
         with pytest.raises(ValueError):
             MinerConfig(qc_params=P06_4, k=0)
+
+    def test_nan_delta_min_rejected(self):
+        with pytest.raises(ValueError, match="delta_min"):
+            MinerConfig(qc_params=P06_4, delta_min=math.nan)
 
     @pytest.mark.parametrize("budget", [0, -7])
     def test_budget_below_one_rejected(self, budget):

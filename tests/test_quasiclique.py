@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -61,6 +62,16 @@ class TestParams:
     def test_accepts_plain_floats_that_are_exact(self):
         p = QuasiCliqueParams(Fraction(1, 2), 3)
         assert p.z == 1
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.4, 0.8, 0.9])
+    def test_float_gamma_is_its_shortest_decimal(self, gamma):
+        # Fraction(0.8) is the double just above 4/5, whose floors round up.
+        p = QuasiCliqueParams(gamma, 6)
+        exact = Fraction(str(gamma))
+        assert p.gamma_min == exact
+        assert [p.degree_floor(n) for n in range(2, 30)] == [
+            math.ceil(exact * (n - 1)) for n in range(2, 30)
+        ]
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
