@@ -178,8 +178,19 @@ def _runs(args) -> list[tuple[str | None, MinerConfig]]:
     return runs
 
 
-def _attr_label(g: AttributedGraph, attrs: tuple[int, ...]) -> str:
-    return "|".join(g.attribute_dictionary.token_for(a) for a in attrs)
+def _manifest_path(args) -> Path:
+    records = Path(args.out_records)
+    return records.with_name(records.name + ".manifest.json")
+
+
+def _check_output_paths(args):
+    """Reject --out-patterns naming the records file or its manifest: one
+    write would replace the other."""
+    taken = (Path(args.out_records).resolve(), _manifest_path(args).resolve())
+    if Path(args.out_patterns).resolve() in taken:
+        raise UsageError(
+            f"--out-patterns {args.out_patterns} is the records file or its manifest"
+        )
 
 
 def _format_delta(delta: float) -> str:
@@ -198,9 +209,11 @@ def _tsv_text(kind: str, header: str, row, blocks, manifest_name: str) -> str:
 
 
 def records_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
+    label = g.attribute_dictionary.label
+
     def row(rec):
         return (
-            f"{_attr_label(g, rec.attribute_set)}\t{rec.support}\t{rec.eps:.6f}"
+            f"{label(rec.attribute_set)}\t{rec.support}\t{rec.eps:.6f}"
             f"\t{rec.eps_exp.value:.5e}\t{_format_delta(rec.delta)}\t{len(rec.covered)}"
         )
 
@@ -208,10 +221,12 @@ def records_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
 
 
 def patterns_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
+    label = g.attribute_dictionary.label
+
     def row(pat):
         q = pat.quasi_clique
         vertices = ",".join(str(g.original_id(v)) for v in q.vertices)
-        return f"{_attr_label(g, pat.attribute_set)}\t{q.size}\t{float(q.density):.2f}\t{vertices}"
+        return f"{label(pat.attribute_set)}\t{q.size}\t{float(q.density):.2f}\t{vertices}"
 
     return _tsv_text("patterns", PATTERNS_HEADER, row, blocks, manifest_name)
 
@@ -359,7 +374,7 @@ def _write_dot_exports(
     for i, pat in enumerate(result.patterns):
         members = vertex_set(index, pat.attribute_set)
         view = induced_view(g, members)
-        title = _attr_label(g, pat.attribute_set)
+        title = g.attribute_dictionary.label(pat.attribute_set)
         text = export_pattern_dot(pat, view, labels=labels, title=title)
         (directory / f"pattern_{i:04d}.dot").write_text(text)
 
@@ -394,7 +409,8 @@ def _write_outputs(args, results, g: AttributedGraph, index: AttributeIndex, tim
     OutputError) leaves the previous run's files as they were and no staged
     file behind."""
     t0 = time.perf_counter()
-    manifest_name = Path(args.out_records).name + ".manifest.json"
+    manifest_path = _manifest_path(args)
+    manifest_name = manifest_path.name
     staged: list[tuple[Path, Path]] = []
     try:
         if args.export_dot:
@@ -409,7 +425,6 @@ def _write_outputs(args, results, g: AttributedGraph, index: AttributeIndex, tim
         overflow = sum(len(r.stats.overflow_sets) for _, r in results)
         warnings = {"self_loops_dropped": g.dropped_self_loops, "overflow_sets": overflow}
         manifest = make_manifest(args, timings, warnings)
-        manifest_path = Path(args.out_records).with_name(manifest_name)
         _stage(staged, manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         for temp, target in staged:
             os.replace(temp, target)
@@ -423,6 +438,7 @@ def _write_outputs(args, results, g: AttributedGraph, index: AttributeIndex, tim
 def _run(args) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="scpm: %(message)s")
     runs = _runs(args)
+    _check_output_paths(args)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

@@ -51,6 +51,10 @@ class AttributeDictionary:
     def token_for(self, attr_id: int) -> str:
         return self.id_to_token[attr_id]
 
+    def label(self, attr_ids) -> str:
+        """An attribute set as the output files name it: tokens joined by '|'."""
+        return "|".join(self.id_to_token[a] for a in attr_ids)
+
     def __len__(self) -> int:
         return len(self.id_to_token)
 

@@ -11,12 +11,12 @@ frequent singleton's posting list becomes its bitset before its class is
 visited; below the singletons no posting list is merged. A candidate's
 posting is the AND of its parents' bitsets and its support the bit count of
 that AND, so a candidate below sigma_min is skipped before its attribute
-set is formed. Each pair of a class is ANDed once, before the class is
-visited; a candidate whose joins all fall below sigma_min is closed: it has
-no descendant in the walk. A visited set's coverage set is kept as a bitset
-too, and the members a child's search runs on are decoded from its posting
-ANDed with both parents' coverage bitsets: a few vertices, not the whole
-posting.
+set is formed. Before a class is visited, its pairs are ANDed only until
+each candidate is known to be open; one with no join reaching sigma_min is
+closed: it has no descendant in the walk. No join is kept. A visited set's
+coverage set is kept as a bitset too, and the members a child's search runs
+on are decoded from its posting ANDed with both parents' coverage bitsets:
+a few vertices, not the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
 seven prunings, the last of which the exhaustive one shares:
@@ -170,16 +170,13 @@ class MiningResult:
 
 @dataclass
 class _Entry:
-    """Frontier entry: attribute set, its support, as int bitsets its
-    posting and its coverage set, its position in its class, and its joins
-    that reach sigma_min, by the class position of the other candidate."""
+    """Frontier entry: attribute set, its support, and as int bitsets its
+    posting and its coverage set."""
 
     attrs: tuple[int, ...]
     support: int
     mask: int
     covered: int
-    pos: int
-    joins: dict[int, int]
 
 
 def _bitset(vertices: tuple[int, ...]) -> int:
@@ -308,12 +305,12 @@ class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
     A class is the frequent singletons, or the children of one base. Before
-    a class is visited, each pair of its candidates is ANDed once: a
-    candidate whose joins all fall below sigma_min is *closed*, since it can
-    have no descendant in the walk, and the frequent joins of the others
-    are kept on their entries, so ``_extend`` forms their children without
-    ANDing again. When max_set_size forbids the next level every candidate
-    is closed. A closed set never joins the frontier.
+    a class is visited each candidate gets one flag: *open* once a join with
+    a sibling reaches sigma_min, else *closed*, since it can have no
+    descendant in the walk. A pair is ANDed only while one of the two is not
+    yet known to be open; no join is kept, so ``_extend`` ANDs an open entry
+    with its earlier siblings again. When max_set_size forbids the next level
+    every candidate is closed. A closed set never joins the frontier.
 
     ``evaluate(attrs, mask, members, stats, closed)`` searches one set,
     adding its expansions to the run's ``stats``, and returns its coverage
@@ -347,6 +344,7 @@ class _Walk:
     def run(self, g: AttributedGraph, index: AttributeIndex) -> MiningResult:
         """Visit the singletons, then extend each class depth-first."""
         cfg = self.cfg
+        self.attributes = g.attribute_dictionary
         if cfg.sigma_min <= g.vertex_count:
             singles = frequent_attributes(index, cfg.sigma_min)
             singles.sort(key=lambda e: (len(e[1]), e[0]))
@@ -358,25 +356,26 @@ class _Walk:
         return MiningResult(self.records, self.patterns, self.stats)
 
     def _visit_class(self, candidates) -> list[_Entry]:
-        """Mark the closed candidates of one class, visit every candidate in
-        order, and return the entries to extend, sorted by ascending support
-        (ties by attribute set). A candidate is (attrs, support, mask,
-        members)."""
+        """Mark the open candidates of one class, visit every candidate in
+        order, and return the open entries to extend, sorted by ascending
+        support (ties by attribute set). A candidate is (attrs, support,
+        mask, members)."""
         cfg = self.cfg
-        joins: list[dict[int, int]] = [{} for _ in candidates]
+        opened = [False] * len(candidates)
         if candidates and (cfg.max_set_size is None or len(candidates[0][0]) < cfg.max_set_size):
             masks = [c[2] for c in candidates]
             for a in range(1, len(masks)):
                 mask_a = masks[a]
                 for b in range(a):
-                    join = mask_a & masks[b]
-                    if join.bit_count() >= cfg.sigma_min:
-                        joins[a][b] = joins[b][a] = join
+                    if opened[a] and opened[b]:
+                        continue
+                    if (mask_a & masks[b]).bit_count() >= cfg.sigma_min:
+                        opened[a] = opened[b] = True
         frontier: list[_Entry] = []
-        for pos, (attrs, support, mask, members) in enumerate(candidates):
-            covered = self._visit(attrs, support, mask, members, not joins[pos])
-            if covered is not None and joins[pos]:
-                frontier.append(_Entry(attrs, support, mask, _bitset(covered), pos, joins[pos]))
+        for (attrs, support, mask, members), is_open in zip(candidates, opened):
+            covered = self._visit(attrs, support, mask, members, not is_open)
+            if covered is not None and is_open:
+                frontier.append(_Entry(attrs, support, mask, _bitset(covered)))
         frontier.sort(key=lambda e: (e.support, e.attrs))
         return frontier
 
@@ -394,7 +393,7 @@ class _Walk:
                     cliques = patterns()
         except SearchBudgetExceeded as exc:
             stats.overflow_sets.append(attrs)
-            logger.warning("attribute set %s aborted: %s", attrs, exc)
+            logger.warning("attribute set %s aborted: %s", self.attributes.label(attrs), exc)
             if cfg.fail_fast:
                 raise
             return None
@@ -405,22 +404,21 @@ class _Walk:
         return covered if extend else None
 
     def _extend(self, entries: list[_Entry], i: int):
-        """Union entry i with every earlier sibling it has a frequent join
-        with, visit those children as one class, then recurse per class.
+        """Union entry i with every earlier sibling, visit the children whose
+        posting AND reaches sigma_min as one class, then recurse per class.
 
-        Only a join that reaches sigma_min forms its attribute set and
-        decodes the members its search runs on.
+        Only such a child forms its attribute set and decodes the members
+        its search runs on.
         """
         base = entries[i]
         candidates = []
         for other in entries[:i]:
-            mask = base.joins.get(other.pos)
-            if mask is not None:
+            mask = base.mask & other.mask
+            support = mask.bit_count()
+            if support >= self.cfg.sigma_min:
                 attrs = _union_attrs(base.attrs, other.attrs)
                 members = tuple(_bits(mask & base.covered & other.covered))
-                candidates.append((attrs, mask.bit_count(), mask, members))
-        # Spent: a later sibling finds its join with entry i in its own joins.
-        base.joins = {}
+                candidates.append((attrs, support, mask, members))
         children = self._visit_class(candidates)
         for ci in range(len(children)):
             self._extend(children, ci)

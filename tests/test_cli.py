@@ -183,6 +183,21 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "r.tsv.manifest.json").read_text())
         assert manifest["config"]["min_size"] == 4
 
+    @pytest.mark.parametrize(
+        "patterns", ["records.tsv", "sub/../records.tsv", "records.tsv.manifest.json"]
+    )
+    def test_patterns_over_records_or_manifest_is_usage_error(
+        self, tmp_path, example_paths, monkeypatch, capsys, patterns
+    ):
+        # Written to the records' path or their manifest's, the patterns
+        # would replace the records or the manifest. Refused before loading.
+        import scpm.cli
+
+        monkeypatch.setattr(scpm.cli, "load_graph", None)
+        assert run_cli(tmp_path, example_paths, patterns=patterns) == 1
+        assert capsys.readouterr().err.startswith("usage error: --out-patterns ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_dot_dir_naming_a_file_is_output_error(self, tmp_path, example_paths, capsys):
         (tmp_path / "dots").write_text("")
         assert run_cli(tmp_path, example_paths, "--export-dot", str(tmp_path / "dots")) == 4

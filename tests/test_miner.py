@@ -41,10 +41,7 @@ def _graph(edges, attrs_of, n):
 
 
 def _labels(g, records):
-    return [
-        "|".join(g.attribute_dictionary.token_for(a) for a in r.attribute_set)
-        for r in records
-    ]
+    return [g.attribute_dictionary.label(r.attribute_set) for r in records]
 
 
 def reference_config(**overrides):
@@ -353,6 +350,8 @@ class TestOverflowHandling:
         assert result.stats.overflow_sets
         assert result.records == []
         assert any("aborted" in rec.message for rec in caplog.records)
+        # The set is named as the TSVs name it, not by its internal ids.
+        assert any(rec.message.startswith("attribute set tag aborted") for rec in caplog.records)
 
     def test_fail_fast_raises(self):
         g, index = self._overflow_instance()
