@@ -22,7 +22,6 @@ from .index import (
     AttributeIndex,
     build_index,
     frequent_attributes,
-    intersect_sorted,
     vertex_set,
 )
 from .quasiclique import (

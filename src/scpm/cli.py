@@ -184,13 +184,20 @@ def _manifest_path(args) -> Path:
 
 
 def _check_output_paths(args):
-    """Reject --out-patterns naming the records file or its manifest: one
-    write would replace the other."""
-    taken = (Path(args.out_records).resolve(), _manifest_path(args).resolve())
-    if Path(args.out_patterns).resolve() in taken:
+    """Reject --out-patterns naming the records file or its manifest, since
+    one write would replace the other, and any output naming an input, which
+    the run would overwrite after reading it."""
+    records, manifest = Path(args.out_records).resolve(), _manifest_path(args).resolve()
+    patterns = Path(args.out_patterns).resolve()
+    if patterns in (records, manifest):
         raise UsageError(
             f"--out-patterns {args.out_patterns} is the records file or its manifest"
         )
+    inputs = (Path(args.graph).resolve(), Path(args.attributes).resolve())
+    if records in inputs or manifest in inputs:
+        raise UsageError(f"--out-records {args.out_records}: it or its manifest is an input file")
+    if patterns in inputs:
+        raise UsageError(f"--out-patterns {args.out_patterns} is an input file")
 
 
 def _format_delta(delta: float) -> str:

@@ -48,9 +48,6 @@ class AttributeDictionary:
     def id_for(self, token: str) -> int | None:
         return self.token_to_id.get(token)
 
-    def token_for(self, attr_id: int) -> str:
-        return self.id_to_token[attr_id]
-
     def label(self, attr_ids) -> str:
         """An attribute set as the output files name it: tokens joined by '|'."""
         return "|".join(self.id_to_token[a] for a in attr_ids)

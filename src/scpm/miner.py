@@ -11,12 +11,12 @@ frequent singleton's posting list becomes its bitset before its class is
 visited; below the singletons no posting list is merged. A candidate's
 posting is the AND of its parents' bitsets and its support the bit count of
 that AND, so a candidate below sigma_min is skipped before its attribute
-set is formed. Before a class is visited, its pairs are ANDed only until
-each candidate is known to be open; one with no join reaching sigma_min is
-closed: it has no descendant in the walk. No join is kept. A visited set's
-coverage set is kept as a bitset too, and the members a child's search runs
-on are decoded from its posting ANDed with both parents' coverage bitsets:
-a few vertices, not the whole posting.
+set is formed. A candidate with no join reaching sigma_min in its class is
+closed: it has no descendant in the walk. No pass marks a class before it
+is visited; a policy asks for the mark, which scans the class, and no join
+is kept. A visited set's coverage set is kept as a bitset too, and the
+members a child's search runs on are decoded from its posting ANDed with
+both parents' coverage bitsets: a few vertices, not the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
 seven prunings, the last of which the exhaustive one shares:
@@ -63,6 +63,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .graph import AttributedGraph, induced_view, z_core
@@ -304,13 +305,16 @@ def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
-    A class is the frequent singletons, or the children of one base. Before
-    a class is visited each candidate gets one flag: *open* once a join with
-    a sibling reaches sigma_min, else *closed*, since it can have no
-    descendant in the walk. A pair is ANDed only while one of the two is not
-    yet known to be open; no join is kept, so ``_extend`` ANDs an open entry
-    with its earlier siblings again. When max_set_size forbids the next level
-    every candidate is closed. A closed set never joins the frontier.
+    A class is the frequent singletons, or the children of one base. A
+    candidate is *closed* when no join with a sibling reaches sigma_min,
+    since it can then have no descendant in the walk. The class is not
+    marked in advance: ``closed()`` scans it when a policy asks, stops at
+    the first join reaching sigma_min, and remembers a proved-closed answer,
+    which later scans use to skip that sibling (its own scan ANDed the
+    pair). When max_set_size forbids the next level every candidate starts
+    closed. An extended entry joins the frontier unless it is proved closed;
+    its children are formed by ANDing it with each earlier frontier entry,
+    and no join is kept, so an unproved closed entry forms none.
 
     ``evaluate(attrs, mask, members, stats, closed)`` searches one set,
     adding its expansions to the run's ``stats``, and returns its coverage
@@ -320,12 +324,13 @@ class _Walk:
     posting ANDed with both parents' coverage bitsets. A policy may skip the
     search of a set that can reach eps_min neither itself nor, unless it is
     closed, through a superset: it returns an empty coverage set, False and
-    None. Only a set whose eps reaches eps_min can qualify, so only such a
-    set is scored against the null model; it is recorded, with its
-    patterns, when its delta reaches delta_min as well. Records and patterns
-    accumulate in discovery order. A set whose search, sample search or
-    pattern search overflows the budget is logged and dropped with its
-    subtree, unless fail_fast re-raises.
+    None; ``closed`` is the zero-argument mark, for a policy to ask only
+    where it decides a skip. Only a set whose eps reaches eps_min can
+    qualify, so only such a set is scored against the null model; it is
+    recorded, with its patterns, when its delta reaches delta_min as well.
+    Records and patterns accumulate in discovery order. A set whose search,
+    sample search or pattern search overflows the budget is logged and
+    dropped with its subtree, unless fail_fast re-raises.
     """
 
     def __init__(
@@ -342,44 +347,54 @@ class _Walk:
         self.stats = MinerStats()
 
     def run(self, g: AttributedGraph, index: AttributeIndex) -> MiningResult:
-        """Visit the singletons, then extend each class depth-first."""
-        cfg = self.cfg
+        """Walk the class of frequent singletons, by ascending support."""
         self.attributes = g.attribute_dictionary
-        if cfg.sigma_min <= g.vertex_count:
-            singles = frequent_attributes(index, cfg.sigma_min)
-            singles.sort(key=lambda e: (len(e[1]), e[0]))
-            frontier = self._visit_class(
-                [(attrs, len(posting), _bitset(posting), posting) for attrs, posting in singles]
-            )
-            for i in range(len(frontier)):
-                self._extend(frontier, i)
+        singles = frequent_attributes(index, self.cfg.sigma_min)
+        singles.sort(key=lambda e: (len(e[1]), e[0]))
+        self._walk_class([(a, len(p), _bitset(p), p) for a, p in singles])
         return MiningResult(self.records, self.patterns, self.stats)
 
-    def _visit_class(self, candidates) -> list[_Entry]:
-        """Mark the open candidates of one class, visit every candidate in
-        order, and return the open entries to extend, sorted by ascending
-        support (ties by attribute set). A candidate is (attrs, support,
-        mask, members)."""
-        cfg = self.cfg
-        opened = [False] * len(candidates)
-        if candidates and (cfg.max_set_size is None or len(candidates[0][0]) < cfg.max_set_size):
-            masks = [c[2] for c in candidates]
-            for a in range(1, len(masks)):
-                mask_a = masks[a]
-                for b in range(a):
-                    if opened[a] and opened[b]:
-                        continue
-                    if (mask_a & masks[b]).bit_count() >= cfg.sigma_min:
-                        opened[a] = opened[b] = True
+    def _walk_class(self, candidates):
+        """Visit one class in order, then union each frontier entry with its
+        earlier siblings and walk the children whose posting AND reaches
+        sigma_min as the next class. A candidate is (attrs, support, mask,
+        members); only a child forms its attribute set and decodes the
+        members its search runs on."""
+        if not candidates:
+            return
+        sigma_min = self.cfg.sigma_min
+        masks = [c[2] for c in candidates]
+        # At the max_set_size cap every candidate starts closed.
+        proved = [len(candidates[0][0]) >= (self.cfg.max_set_size or math.inf)] * len(masks)
+
+        def closed(i):
+            if not proved[i]:
+                mask = masks[i]
+                proved[i] = True  # until a join reaches sigma_min; the scan skips i
+                for other, done in zip(masks, proved):
+                    if not done and (mask & other).bit_count() >= sigma_min:
+                        proved[i] = False
+                        return False
+            return True
+
         frontier: list[_Entry] = []
-        for (attrs, support, mask, members), is_open in zip(candidates, opened):
-            covered = self._visit(attrs, support, mask, members, not is_open)
-            if covered is not None and is_open:
+        for i, (attrs, support, mask, members) in enumerate(candidates):
+            covered = self._visit(attrs, support, mask, members, partial(closed, i))
+            if covered is not None and not proved[i]:
                 frontier.append(_Entry(attrs, support, mask, _bitset(covered)))
         frontier.sort(key=lambda e: (e.support, e.attrs))
-        return frontier
+        for i, base in enumerate(frontier):
+            children = []
+            for other in frontier[:i]:
+                mask = base.mask & other.mask
+                support = mask.bit_count()
+                if support >= sigma_min:
+                    attrs = _union_attrs(base.attrs, other.attrs)
+                    members = tuple(_bits(mask & base.covered & other.covered))
+                    children.append((attrs, support, mask, members))
+            self._walk_class(children)
 
-    def _visit(self, attrs, support, mask, members, closed: bool) -> tuple[int, ...] | None:
+    def _visit(self, attrs, support, mask, members, closed) -> tuple[int, ...] | None:
         """Search one set and score it if its eps reaches eps_min; return its
         coverage set if it is to be extended, else None."""
         cfg = self.cfg
@@ -403,26 +418,6 @@ class _Walk:
             self.patterns.extend(PatternRecord(attrs, q) for q in cliques)
         return covered if extend else None
 
-    def _extend(self, entries: list[_Entry], i: int):
-        """Union entry i with every earlier sibling, visit the children whose
-        posting AND reaches sigma_min as one class, then recurse per class.
-
-        Only such a child forms its attribute set and decodes the members
-        its search runs on.
-        """
-        base = entries[i]
-        candidates = []
-        for other in entries[:i]:
-            mask = base.mask & other.mask
-            support = mask.bit_count()
-            if support >= self.cfg.sigma_min:
-                attrs = _union_attrs(base.attrs, other.attrs)
-                members = tuple(_bits(mask & base.covered & other.covered))
-                candidates.append((attrs, support, mask, members))
-        children = self._visit_class(candidates)
-        for ci in range(len(children)):
-            self._extend(children, ci)
-
 
 def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> MiningResult:
     """Pruned mining run.
@@ -442,15 +437,20 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
 
     def evaluate(attrs, mask, members, stats, closed):
-        # The coverage set lies in the members' z-core. A core too small to
-        # reach eps_min leaves the set unsearched, unrecorded and unextended;
-        # a closed set has no superset in the walk, so its own support bounds
-        # its eps.
-        divisor = mask.bit_count() if closed else cfg.sigma_min
-        if not _can_reach_eps_min(len(members), divisor, cfg):
+        # The coverage set lies in the members' z-core. A count too small to
+        # reach eps_min leaves the set unsearched, unrecorded and unextended.
+        # Between eps_min * sigma_min and eps_min times its own support a
+        # count is too small only for a closed set, which has no superset in
+        # the walk; only there is the mark asked for. The core asks only if
+        # the members left it unasked, so no set asks twice.
+        support = mask.bit_count()
+        unasked = _can_reach_eps_min(len(members), support, cfg)
+        if not _can_reach_eps_min(len(members), cfg.sigma_min, cfg) or (not unasked and closed()):
             return (), False, None
         core = z_core(g.adjacency, members, cfg.qc_params.z)
-        if not _can_reach_eps_min(len(core), divisor, cfg):
+        if not _can_reach_eps_min(len(core), cfg.sigma_min, cfg) or (
+            unasked and not _can_reach_eps_min(len(core), support, cfg) and closed()
+        ):
             return (), False, None
         covered = _coverage(g, core, cfg, stats)
 

@@ -183,6 +183,30 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "r.tsv.manifest.json").read_text())
         assert manifest["config"]["min_size"] == 4
 
+    @pytest.mark.parametrize("records, patterns, flag", [
+        ("g.edges", "patterns.tsv", "--out-records"),
+        ("records.tsv", "sub/../g.attrs", "--out-patterns"),
+        ("g", "patterns.tsv", "--out-records"),
+    ], ids=["records-graph", "patterns-attributes", "manifest-attributes"])
+    def test_output_over_an_input_is_usage_error(
+        self, tmp_path, example_paths, monkeypatch, capsys, records, patterns, flag
+    ):
+        # An output written over an input would destroy it and leave a
+        # manifest whose input sha256 matches no file. Refused before loading.
+        import scpm.cli
+
+        edges, attrs = tmp_path / "g.edges", tmp_path / "g.attrs"
+        if records == "g":
+            attrs = tmp_path / "g.manifest.json"
+        edges.write_bytes(example_paths[0].read_bytes())
+        attrs.write_bytes(example_paths[1].read_bytes())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(scpm.cli, "load_graph", None)
+        code = run_cli(tmp_path, (edges, attrs), records=records, patterns=patterns)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize(
         "patterns", ["records.tsv", "sub/../records.tsv", "records.tsv.manifest.json"]
     )

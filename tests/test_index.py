@@ -3,7 +3,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from scpm import build_index, frequent_attributes, intersect_sorted, load_graph, vertex_set
+from scpm import build_index, frequent_attributes, load_graph, vertex_set
+from scpm.index import intersect_sorted
 
 from oracles import random_attributed_graph
 

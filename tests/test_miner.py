@@ -487,35 +487,34 @@ def _instance(request, name):
     return g, index, reference_config(sigma_min=100, eps_min=0.1, k=5)
 
 
-def _recording_walk(evaluated, covered):
+def _recording_walk(evaluated, covered, patch):
     """A lattice walk that logs, before each set is searched, its attribute
     set, posting bitset, search members and the attribute sets of the two
     parents it was formed from (None for a singleton) in ``evaluated``, and
-    each searched set's coverage set in ``covered``."""
+    each searched set's coverage set in ``covered``. The parents are learned
+    from the walk's ``_union_attrs(base.attrs, other.attrs)`` call, which
+    ``patch`` wraps."""
     import scpm.miner
+
+    parents = {}
+    union = scpm.miner._union_attrs
+
+    def recording_union(a, b):
+        attrs = union(a, b)
+        parents[attrs] = (a, b)
+        return attrs
+
+    patch.setattr(scpm.miner, "_union_attrs", recording_union)
 
     class Recording(scpm.miner._Walk):
         def __init__(self, cfg, null, evaluate):
-            self.siblings = None
-
             def recorded(attrs, mask, members, stats, closed):
-                parents = None
-                if self.siblings is not None:
-                    base, earlier = self.siblings
-                    other = next(e for e in earlier if set(base.attrs) | set(e.attrs) == set(attrs))
-                    parents = (base.attrs, other.attrs)
-                evaluated.append((attrs, mask, members, parents))
+                evaluated.append((attrs, mask, members, parents.get(attrs)))
                 out = evaluate(attrs, mask, members, stats, closed)
                 covered[attrs] = out[0]
                 return out
 
             super().__init__(cfg, null, recorded)
-
-        def _extend(self, entries, i):
-            # Entry i's children are all visited before the recursion below
-            # it overwrites this.
-            self.siblings = (entries[i], entries[:i])
-            super()._extend(entries, i)
 
     return Recording
 
@@ -543,7 +542,7 @@ class TestSupportGate:
         for mine in (run_scpm, run_naive):
             evaluated = []
             with monkeypatch.context() as patch:
-                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, {}))
+                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, {}, patch))
                 result = mine(g, index, cfg)
             stats = result.stats
             children = [mask.bit_count() for _, mask, _, parents in evaluated if parents]
@@ -573,7 +572,7 @@ class TestMembersFromMasks:
             cfg = reference_config(sigma_min=2, eps_min=0.0, k=1)
             evaluated, covered = [], {}
             with monkeypatch.context() as patch:
-                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, covered))
+                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, covered, patch))
                 run_scpm(g, index, cfg)
             for attrs, mask, members, parents in evaluated:
                 posting = vertex_set(index, attrs)
@@ -778,7 +777,7 @@ class TestClosedSets:
         class Recording(scpm.miner._Walk):
             def __init__(self, cfg, null, evaluate):
                 def recorded(attrs, mask, members, stats, closed):
-                    flags.append(closed)
+                    flags.append(closed())
                     return evaluate(attrs, mask, members, stats, closed)
 
                 super().__init__(cfg, null, recorded)
@@ -792,6 +791,49 @@ class TestClosedSets:
         assert 0 < len(searched) < result.stats.sets_visited
         assert len(result.records) >= 20
         self._assert_matches_naive(g, index, cfg, result)
+
+    def test_mark_is_asked_only_in_the_gap_and_at_most_once(self, monkeypatch):
+        # Tags a, b and c all sit on one 4-clique and six isolated carriers,
+        # so every set has support 10 and a core of 4. At sigma_min 4 and
+        # eps_min 0.5 each core reaches eps_min * sigma_min = 2 but not
+        # eps_min * 10 = 5: every set asks for its mark. a|c and b|c join to
+        # a|b|c, so both are open, and their members, the clique, already sit
+        # in the gap; their core check must not ask again. At eps_min 0 no
+        # set asks.
+        import scpm.miner
+
+        asked = []
+
+        class Recording(scpm.miner._Walk):
+            def __init__(self, cfg, null, evaluate):
+                def recorded(attrs, mask, members, stats, closed):
+                    def asking():
+                        answer = closed()
+                        gap = len(members) / mask.bit_count() < cfg.eps_min
+                        asked.append((self.attributes.label(attrs), answer, gap))
+                        return answer
+
+                    return evaluate(attrs, mask, members, stats, asking)
+
+                super().__init__(cfg, null, recorded)
+
+        clique = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        g = _graph(clique, lambda v: ["a", "b", "c"], 10)
+        index = build_index(g)
+        for eps_min in (0.0, 0.5):
+            cfg = reference_config(sigma_min=4, eps_min=eps_min)
+            asked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(scpm.miner, "_Walk", Recording)
+                result = run_scpm(g, index, cfg)
+            naive = run_naive(g, index, cfg)
+            assert (result.records, result.patterns) == (naive.records, naive.patterns)
+            assert result.stats.sets_visited == naive.stats.sets_visited == 7
+            if eps_min == 0.0:
+                assert asked == []
+        labels = [label for label, _, _ in asked]
+        assert sorted(labels) == ["a", "a|b", "a|b|c", "a|c", "b", "b|c", "c"]
+        assert ("a|c", False, True) in asked and ("b|c", False, True) in asked
 
 
 def _eager_walk(seen):

@@ -48,6 +48,7 @@ def configs(draw):
         delta_min=draw(st.sampled_from([0.0, 0.5, 1.0])),
         k=draw(st.sampled_from([1, 2, None])),
         null_model=NullModelConfig(kind=kind, samples=5, seed=draw(st.integers(0, 3))),
+        max_set_size=draw(st.sampled_from([None, 1, 2])),
     )
 
 
