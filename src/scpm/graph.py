@@ -15,6 +15,7 @@ checked parser, which skips blank and comment lines and raises every
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from operator import lt
 from typing import Iterable, Sequence
@@ -180,18 +181,26 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
     first fault. Both paths parse ids with ``int()``, so they accept the same
     spellings, and the checked parser sees every line the fast path refuses,
     in file order, so every error keeps its message and line number.
-    Endpoints are kept in two int lists and merged in per-vertex sets, and
-    each attribute token is interned once, on first sight, so token ids
-    follow first appearance in the file. Ids map to dense ids through a
-    dict, or through ``range(n)`` when they already are 0..n-1, so each
-    vertex is one shared int object wherever the graph holds it. Errors
-    name a source by its ``name``, as an open file has, if it has one.
+    Each attribute token is interned once, on first sight, so token ids
+    follow first appearance in the file.
+
+    No set is built per vertex. Endpoints are kept in two ``array("q")``
+    buffers, and each attribute line becomes its vertex's sorted id tuple at
+    once; a vertex on a second line merges into it. The sorted original ids
+    map to dense ids through a dict, or index themselves when they already
+    are 0..n-1, so each vertex is one shared int object wherever the graph
+    holds it. Neighbours gather in one list per vertex, and each list is
+    deduplicated and sorted once, into the final tuple that replaces it.
+    Every buffer is dropped as soon as nothing reads it, so a load's
+    transient memory stays within a small multiple of the graph it returns.
+    Errors name a source by its ``name``, as an open file has, if it has
+    one.
     """
     top = MAX_VERTEX_ID
     edge_name = str(getattr(edge_source, "name", "edge source"))
     attribute_name = str(getattr(attribute_source, "name", "attribute source"))
-    us: list[int] = []
-    vs: list[int] = []
+    us = array("q")
+    vs = array("q")
     for line_number, raw in enumerate(edge_source, start=1):
         try:
             u, v = map(int, raw.split())
@@ -209,7 +218,7 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
 
     token_ids = _TokenIds()
     to_id = token_ids.__getitem__
-    buckets: dict[int, set[int]] = {}
+    rows: dict[int, tuple[int, ...]] = {}
     for line_number, raw in enumerate(attribute_source, start=1):
         parts = raw.split()
         try:
@@ -220,36 +229,36 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
             v = _checked_attribute_line(raw, attribute_name, line_number)
             if v is None:
                 continue
-        bucket = buckets.get(v)
-        if bucket is None:
-            bucket = buckets[v] = set()
-        bucket.update(map(to_id, parts[1:]))
+        row = set(map(to_id, parts[1:]))
+        if v in rows:
+            row.update(rows[v])
+        rows[v] = tuple(sorted(row))
 
-    vertices = set(us)
-    vertices.update(vs)
-    vertices.update(buckets)
-    n = len(vertices)
-    if n and max(vertices) != n - 1:
-        original_ids = tuple(sorted(vertices))
+    # The rows first: a set made from a dict is sized once, and it keeps the
+    # rows' own int objects, which become the graph's vertex objects.
+    original_ids = tuple(sorted({*rows, *us, *vs}))
+    n = len(original_ids)
+    if n and original_ids[-1] != n - 1:
         dense = {orig: i for i, orig in enumerate(original_ids)}.__getitem__
     else:
-        original_ids = tuple(range(n))
         dense = original_ids.__getitem__
 
+    attributes: list[tuple[int, ...]] = [()] * n
+    for v, row in rows.items():
+        attributes[dense(v)] = row
+    del rows
+
     self_loops = 0
-    adjacency: list = [set() for _ in range(n)]
+    adjacency: list = [[] for _ in range(n)]
     for u, v in zip(map(dense, us), map(dense, vs)):
         if u == v:
             self_loops += 1
         else:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    for v, nbrs in enumerate(adjacency):  # in place: the sets go as the tuples come
-        adjacency[v] = tuple(sorted(nbrs))
-
-    attributes: list[tuple[int, ...]] = [()] * n
-    for v, bucket in buckets.items():
-        attributes[dense(v)] = tuple(sorted(bucket))
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    del us, vs
+    for v, nbrs in enumerate(adjacency):  # in place: the lists go as the tuples come
+        adjacency[v] = tuple(sorted(set(nbrs)))
 
     return AttributedGraph(
         vertex_count=n,

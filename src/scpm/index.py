@@ -27,13 +27,23 @@ class AttributeIndex:
 
 
 def build_index(g: AttributedGraph) -> AttributeIndex:
-    """Invert the per-vertex attribute sets into sorted posting lists."""
-    lists: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        for a in g.attributes[v]:
-            lists.setdefault(a, []).append(v)
-    # Vertices are scanned in ascending order, so the lists arrive sorted.
-    return AttributeIndex(posting={a: tuple(vs) for a, vs in lists.items()})
+    """Invert the per-vertex attribute sets into sorted posting lists.
+
+    Vertices are scanned in ascending order, so each attribute's list
+    arrives sorted; attributes keep the order of their first carrier. An
+    incidence allocates nothing but its slot in the list, and each list is
+    replaced in place by its tuple, so no posting is held twice.
+    """
+    posting: dict = {}
+    for v, attrs in enumerate(g.attributes):
+        for a in attrs:
+            try:
+                posting[a].append(v)
+            except KeyError:
+                posting[a] = [v]
+    for a, vs in posting.items():
+        posting[a] = tuple(vs)
+    return AttributeIndex(posting=posting)
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> PostingList:
