@@ -14,15 +14,17 @@ that AND, so a candidate below sigma_min is skipped before its attribute
 set is formed. A candidate with no join reaching sigma_min in its class is
 closed: it has no descendant in the walk. No pass marks a class before it
 is visited; a policy asks for the mark, which scans the class, and no join
-is kept. A visited set's coverage set is kept as a bitset too, and the
-members a child's search runs on are decoded from its posting ANDed with
-both parents' coverage bitsets: a few vertices, not the whole posting.
+is kept. A visited set's coverage set (or, if the set was not searched,
+its core) is kept as a bitset too, and the members a child's search runs
+on are decoded from its posting ANDed with both parents' bitsets: a few
+vertices, not the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
 seven prunings, the last of which the exhaustive one shares:
 
 * each child's quasi-clique search is restricted to the intersection of its
-  parents' coverage sets (no quasi-clique can leave them),
+  parents' coverage sets or, for a parent that was not searched, its core
+  (no quasi-clique can leave them),
 * the set's members are peeled to their z-core over the graph's adjacency
   (``graph.z_core``) before its view is built, since no quasi-clique member
   lies outside that core; most of a sparse posting falls away here,
@@ -31,11 +33,15 @@ seven prunings, the last of which the exhaustive one shares:
   coverage set lies in the core, so a smaller core gives eps below eps_min
   and fails the extension test below. Such a set is visited but gets no
   view, no score and no children; with eps_min 0 nothing is skipped,
-* a closed set is searched only when its members, and then its core,
-  number at least eps_min times its own support (tested as count / support
-  >= eps_min, the division eps is computed with): it has no superset in
-  the walk, so only its own record needs its coverage set, and that record
-  needs eps = covered_count / support >= eps_min,
+* a set is searched only when its members, and then its core, number at
+  least eps_min times its own support (tested as count / support >=
+  eps_min, the division eps is computed with): below that its own eps =
+  covered_count / support cannot reach eps_min, so its record never needs
+  the coverage set. A closed set, which has no superset in the walk, is
+  then skipped. An open one is extended on its core, which contains every
+  coverage set of its supersets and is no smaller than its own coverage
+  set: the children's searches find the same coverage sets, and the
+  extension test below, run on the core, cuts no qualifying superset,
 * an attribute set is extended only while covered_count / sigma_min >=
   eps_min and, under the analytical null model, normalized_delta(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
@@ -55,7 +61,9 @@ induced graph (the view of its whole posting, decoded from its bitset), and
 applies the same output filters, so both miners emit identical record and
 pattern sets. A
 set whose search overflows the expansion budget is neither recorded nor
-extended by either miner.
+extended by either miner. The pruned miner leaves some sets unsearched
+that the exhaustive one searches, and such a set cannot overflow, so the
+two outputs are identical wherever no search overflows.
 """
 
 from __future__ import annotations
@@ -149,9 +157,10 @@ class MinerStats(SearchStats):
     counts the searches of every searched set's view, of its top-k
     patterns, and of the simulation samples drawn for the supports that
     were scored, i.e. of sets whose eps reached eps_min. A set that
-    ``run_scpm`` skips because its core is too small, for eps_min times
-    sigma_min or, when the set is closed, times its own support, counts as
-    visited and adds no expansion.
+    ``run_scpm`` does not search because its core is too small, for eps_min
+    times sigma_min or times its own support, counts as visited and adds no
+    expansion; an open one of the second kind is still extended on its
+    core.
     """
 
     sets_visited: int = 0
@@ -172,7 +181,7 @@ class MiningResult:
 @dataclass
 class _Entry:
     """Frontier entry: attribute set, its support, and as int bitsets its
-    posting and its coverage set."""
+    posting and its coverage set, or its core if it was not searched."""
 
     attrs: tuple[int, ...]
     support: int
@@ -211,12 +220,13 @@ def _coverage(
 
 def _can_reach_eps_min(count: int, divisor: int, cfg: MinerConfig) -> bool:
     """Whether a coverage set of at most ``count`` vertices can give eps >=
-    eps_min to a set whose eps, and its supersets', is at most count /
-    ``divisor``: sigma_min for a set that may be extended, its own support
-    for a closed one. The test divides and compares as eps is computed
+    eps_min to a set or its supersets, whose eps is at most count /
+    ``divisor``: sigma_min for the supersets, the set's own support for
+    the set itself. The test divides and compares as eps is computed
     (``_Walk._visit``, prune_extension's first test), and correctly rounded
-    division is monotone, so a False here means eps falls below eps_min and
-    prune_extension would return False."""
+    division is monotone, so a False here means eps falls below eps_min:
+    for sigma_min, prune_extension would return False; for the own
+    support, the set's record is not scored."""
     return count / divisor >= cfg.eps_min
 
 
@@ -321,13 +331,17 @@ class _Walk:
     set, whether to extend it, and a callable that yields its patterns.
     ``mask`` is the set's posting as a bitset and ``members`` the sorted
     vertices its search runs on: the whole posting for a singleton, else the
-    posting ANDed with both parents' coverage bitsets. A policy may skip the
-    search of a set that can reach eps_min neither itself nor, unless it is
-    closed, through a superset: it returns an empty coverage set, False and
-    None; ``closed`` is the zero-argument mark, for a policy to ask only
-    where it decides a skip. Only a set whose eps reaches eps_min can
-    qualify, so only such a set is scored against the null model; it is
-    recorded, with its patterns, when its delta reaches delta_min as well.
+    posting ANDed with both parents' returned bitsets. A policy may skip the
+    search of a set whose own eps cannot reach eps_min. If no superset can
+    reach it either, or the set is closed, it returns an empty coverage set,
+    False and None; otherwise it returns, in place of the coverage set, a
+    superset of it that holds every coverage set of the set's supersets
+    (``run_scpm`` returns the core), whether to extend on it, and None. That
+    set's eps is below eps_min, so it is not scored. ``closed`` is the
+    zero-argument mark, for a policy to ask only where it decides a skip.
+    Only a set whose eps reaches eps_min can qualify, so only such a set is
+    scored against the null model; it is recorded, with its patterns, when
+    its delta reaches delta_min as well.
     Records and patterns accumulate in discovery order. A set whose search,
     sample search or pattern search overflows the budget is logged and
     dropped with its subtree, unless fail_fast re-raises.
@@ -427,11 +441,15 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     in depth-first discovery order. Sets failing the extension tests are
     reported (when they qualify) but never extended. A set whose members'
     z-core is too small to reach eps_min is visited without a search: too
-    small for eps_min * sigma_min, or for a closed set, which has no
-    frequent join in its class, eps_min times its own support. A
+    small for eps_min * sigma_min, it is not extended; too small for eps_min
+    times its own support, it is not recorded, and unless it is closed (it
+    has no frequent join in its class) it is extended on its core. A
     search that overflows, on the set's view or on a simulation sample drawn
     to score it, drops that set unreported and unextended unless fail_fast
-    is set.
+    is set. A set that is not searched cannot overflow, so under a budget
+    the exhaustive miner exceeds on such a set, this miner keeps the set's
+    subtree; wherever nothing overflows the two emit the same records and
+    patterns.
     """
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
@@ -440,18 +458,25 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
         # The coverage set lies in the members' z-core. A count too small to
         # reach eps_min leaves the set unsearched, unrecorded and unextended.
         # Between eps_min * sigma_min and eps_min times its own support a
-        # count is too small only for a closed set, which has no superset in
-        # the walk; only there is the mark asked for. The core asks only if
+        # count is too small for the set's own eps, so the set is never
+        # searched: a closed set is skipped, and an open one is extended on
+        # its core. Only there is the mark asked for. The core asks only if
         # the members left it unasked, so no set asks twice.
         support = mask.bit_count()
         unasked = _can_reach_eps_min(len(members), support, cfg)
         if not _can_reach_eps_min(len(members), cfg.sigma_min, cfg) or (not unasked and closed()):
             return (), False, None
         core = z_core(g.adjacency, members, cfg.qc_params.z)
-        if not _can_reach_eps_min(len(core), cfg.sigma_min, cfg) or (
-            unasked and not _can_reach_eps_min(len(core), support, cfg) and closed()
-        ):
+        if not _can_reach_eps_min(len(core), cfg.sigma_min, cfg):
             return (), False, None
+        floor = null.expected(cfg.sigma_min) if gate_delta else None
+        if not _can_reach_eps_min(len(core), support, cfg):
+            # The core holds every coverage set of the set's supersets, so
+            # it restricts their searches and bounds their eps as soundly
+            # as the set's own coverage set would.
+            if unasked and closed():
+                return (), False, None
+            return tuple(core), prune_extension(core, cfg, floor), None
         covered = _coverage(g, core, cfg, stats)
 
         def patterns():
@@ -462,7 +487,6 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
                 view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=stats
             )
 
-        floor = null.expected(cfg.sigma_min) if gate_delta else None
         return covered, prune_extension(covered, cfg, floor), patterns
 
     return _Walk(cfg, null, evaluate).run(g, index)

@@ -384,6 +384,35 @@ class TestOverflowHandling:
         assert _labels(g, fast.records) == ["b"]
         assert fast.records == slow.records
 
+    def test_open_set_in_the_gap_is_not_searched_so_cannot_overflow(self):
+        # Tag s sits on a 16-cycle, a triangle and 20 isolated carriers:
+        # support 39, core 19, below eps_min * 39 = 19.5 but above eps_min *
+        # sigma_min = 1.5. Tag t sits on the triangle, so s|t has support 3
+        # and s is open. A search of the cycle exceeds budget 3, so the
+        # exhaustive miner aborts s with its subtree; run_scpm never searches
+        # s, extends it on its core and records s|t.
+        cycle = [(v, (v + 1) % 16) for v in range(16)]
+        g = _graph(
+            cycle + [(16, 17), (17, 18), (16, 18)],
+            lambda v: ["s"] + ["t"] * (16 <= v <= 18),
+            39,
+        )
+        index = build_index(g)
+        cfg = reference_config(
+            qc_params=QuasiCliqueParams(Fraction(1, 2), 3),
+            sigma_min=3,
+            eps_min=0.5,
+            expansion_budget=3,
+        )
+        tight = run_scpm(g, index, cfg)
+        assert tight.stats.overflow_sets == []
+        assert _labels(g, tight.records) == ["t", "s|t"]
+        assert tight.records[1].covered == (16, 17, 18)
+        loose = run_scpm(g, index, dataclasses.replace(cfg, expansion_budget=1000))
+        assert (tight.records, tight.patterns) == (loose.records, loose.patterns)
+        s = g.attribute_dictionary.id_for("s")
+        assert run_naive(g, index, cfg).stats.overflow_sets == [(s,)]
+
     @pytest.mark.parametrize("mine", [run_scpm, run_naive], ids=["scpm", "naive"])
     def test_simulation_samples_use_run_budget(self, mine):
         # The even vertices of a 16-cycle induce no edge, so their own view
@@ -696,9 +725,11 @@ class TestSkipSmallCores:
 
 
 class TestClosedSets:
-    """A set whose joins with every sibling of its class fall below
-    sigma_min has no descendant in the walk, so run_scpm searches it only
-    when its core can reach eps_min times its own support."""
+    """run_scpm searches a set only when its core can reach eps_min times
+    its own support. Below that, a closed set, whose joins with every
+    sibling of its class fall below sigma_min, is skipped, and an open one
+    is extended on its core: the core holds every coverage set of its
+    supersets."""
 
     @staticmethod
     def _searched_cores(monkeypatch):
@@ -720,13 +751,15 @@ class TestClosedSets:
         assert result.patterns == naive.patterns
         assert result.stats.sets_visited == naive.stats.sets_visited
 
-    def test_closed_set_is_searched_only_once_a_join_opens_it(self, monkeypatch):
+    def test_set_in_the_gap_is_searched_neither_closed_nor_open(self, monkeypatch):
         # Tag s sits on a 6-clique with 9 isolated carriers, support 15; tag
         # t on a 10-clique with the same 9 carriers, support 19. At
         # sigma_min 10 and eps_min 0.5 the core of s reaches eps_min *
-        # sigma_min = 5 but not eps_min * 15 = 7.5. Their join has support
-        # 9, so both are closed and s is not searched. One more carrier of
-        # both lifts the join to 10: s is open and searched.
+        # sigma_min = 5 but not eps_min * 15 = 7.5, so its own eps cannot
+        # reach eps_min. Their join has support 9, so both are closed and s
+        # is skipped. One more carrier of both lifts the join to 10: s is
+        # open and extended on its core without a search, and the join is
+        # visited.
         clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
         edges = clique(range(6)) + clique(range(20, 30))
         cfg = reference_config(sigma_min=10, eps_min=0.5)
@@ -744,10 +777,98 @@ class TestClosedSets:
             with monkeypatch.context() as patch:
                 searched = self._searched_cores(patch)
                 result = run_scpm(g, index, cfg)
-            assert (core in searched) is opened
+            assert core not in searched
             assert _labels(g, result.records) == ["t"]
             assert result.stats.sets_visited == 2 + opened
             self._assert_matches_naive(g, index, cfg, result)
+
+    def test_open_set_in_the_gap_extends_to_a_qualifying_join(self, monkeypatch):
+        # Tag s sits on a 6-clique and a 5-clique with 12 isolated carriers:
+        # support 23, core 11. At sigma_min 6 and eps_min 0.5 that core
+        # reaches eps_min * sigma_min = 3 but not eps_min * 23 = 11.5. Tag t
+        # sits on the 6-clique alone, so s|t has support 6 and s is open.
+        # The join's members are the 6-clique, cut from s's core; s itself
+        # is never searched.
+        clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
+        g = _graph(
+            clique(range(6)) + clique(range(10, 15)),
+            lambda v: ["s"] * (v < 6 or v >= 10) + ["t"] * (v < 6),
+            27,
+        )
+        index = build_index(g)
+        cfg = reference_config(sigma_min=6, eps_min=0.5)
+        searched = self._searched_cores(monkeypatch)
+        result = run_scpm(g, index, cfg)
+        assert (*range(6), *range(10, 15)) not in searched
+        assert _labels(g, result.records) == ["t", "s|t"]
+        join = result.records[1]
+        assert join.covered == tuple(range(6)) and join.eps == 1.0
+        self._assert_matches_naive(g, index, cfg, result)
+
+    def test_open_set_with_an_uncovered_core_now_extends(self, monkeypatch):
+        # Tag s sits on a chordless 5-cycle with 6 isolated carriers: support
+        # 11. At gamma 3/5 and min_size 4 the cycle is a 2-core that holds
+        # no admissible set, so s covers nothing, yet its core of 5 reaches
+        # eps_min * sigma_min = 2.5 but not eps_min * 11 = 5.5. Tag t sits
+        # on a 5-clique and the cycle, so s|t has support 5 and s is open. A
+        # search of s would find an empty coverage set and stop there; the
+        # unsearched s is extended on its core, so its join is visited too
+        # and, with no vertex of t's coverage set, covers nothing.
+        cycle = [(v, (v + 1) % 5) for v in range(5)]
+        clique = [(u, v) for u in range(20, 25) for v in range(u + 1, 25)]
+        g = _graph(
+            cycle + clique,
+            lambda v: ["s"] * (v < 11) + ["t"] * (v < 5 or v >= 20),
+            25,
+        )
+        index = build_index(g)
+        cfg = reference_config(sigma_min=5, eps_min=0.5)
+        searched = self._searched_cores(monkeypatch)
+        result = run_scpm(g, index, cfg)
+        assert tuple(range(5)) not in searched
+        assert _labels(g, result.records) == ["t"]
+        assert result.stats.sets_visited == 3
+        self._assert_matches_naive(g, index, cfg, result)
+
+    @pytest.mark.parametrize("kind", [ANALYTICAL, SIMULATION])
+    def test_every_searched_core_can_reach_eps_min_for_its_own_support(
+        self, kind, planted_2000, monkeypatch
+    ):
+        # At the criterion-7 config the planted instance's noise singletons
+        # have support about 500 and cores of 20-31: each can reach eps_min *
+        # sigma_min = 10 but not eps_min times its own support.
+        import scpm.miner
+
+        g, index = planted_2000
+        cfg = reference_config(
+            sigma_min=100,
+            eps_min=0.1,
+            k=5,
+            null_model=NullModelConfig(kind=kind, samples=5, seed=0),
+        )
+        searched, supports = [], []
+
+        class Recording(scpm.miner._Walk):
+            def __init__(self, cfg, null, evaluate):
+                def recorded(attrs, mask, members, stats, closed):
+                    supports.append(mask.bit_count())
+                    return evaluate(attrs, mask, members, stats, closed)
+
+                super().__init__(cfg, null, recorded)
+
+        def recording(view, params, **kwargs):
+            searched.append((len(view.members), supports[-1]))
+            return covered_vertices(view, params, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scpm.miner, "_Walk", Recording)
+            patch.setattr(scpm.miner, "covered_vertices", recording)
+            result = run_scpm(g, index, cfg)
+        assert searched
+        assert all(core / support >= cfg.eps_min for core, support in searched)
+        naive = run_naive(g, index, cfg)
+        assert result.records == naive.records
+        assert result.patterns == naive.patterns
 
     @pytest.mark.parametrize(("clique_size", "support"), [(12, 100), (7, 25)])
     def test_core_exactly_at_own_support_bound_is_searched(
