@@ -1,5 +1,6 @@
 """Attributed graph storage, degree statistics, induced subgraph views that
-share the graph's adjacency, and the z-core peel, the program's only one.
+share the graph's adjacency, and the z-core peel, the program's only one,
+with its first pass made for many member sets in one sweep.
 
 The graph is immutable after loading: adjacency is a list of strictly sorted
 neighbor tuples over dense vertex ids 0..n-1, and every vertex carries a
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import lt
+from itertools import accumulate
+from operator import and_, lt, or_
 from typing import Iterable, Sequence
 
 # File vertex ids above this are rejected so dense remapping stays in
@@ -327,3 +329,59 @@ def z_core(adjacency: Sequence[Sequence[int]], members: Sequence[int], z: int) -
                     alive.discard(u)
                     dropped.append(u)
     return [v for v in kept if v in alive]
+
+
+def z_survivors(
+    adjacency: Sequence[Sequence[int]], member_sets: Sequence[Iterable[int]], z: int
+) -> list[list[int]]:
+    """For each member set, in order, its members with at least z neighbours
+    among that set's members, sorted: ``z_core``'s first pass, made for
+    every set in one sweep over the adjacency. The sets may be unsorted.
+
+    Each vertex holds an int with one bit per set it is in: set i of k
+    takes bit k - 1 - i, so when the sets come by ascending size, as the
+    miner passes its singletons, the largest sets take the lowest bits and
+    most vertices' ints stay narrow. Each vertex in some set runs a
+    saturating counter over its neighbours' ints, stored as two bit planes:
+    a neighbour's int m updates them as ``twice |= once & m; once |= m``,
+    so ``twice`` names the sets in which the vertex has two neighbours. For
+    z > 2 the neighbours' ints first pass z - 2 times through a filter
+    that keeps, of each int, only the sets an earlier int of the stream
+    already holds (``m & (m_0 | ... | m_prev)``, by ``accumulate``); each
+    pass lowers every set's count by one, so two neighbours after the
+    passes are z before them. The plane that reaches z, ANDed with the
+    vertex's own int, names every set it survives in. The sweep reads a
+    vertex's adjacency once however many sets hold it, where a pass per set
+    reads it once per set, and it counts no set's members one by one. It
+    keeps one int per vertex, of one bit per set, and no neighbour set.
+
+    The survivors still hold each set's z-core, which is the z-core of the
+    survivors, so ``z_core`` run on them finishes the peel.
+    """
+    if z < 1:
+        raise ValueError(f"z must be at least 1, got {z}")
+    masks = [0] * len(adjacency)
+    bit = 1 << len(member_sets)
+    for members in member_sets:
+        bit >>= 1
+        for v in members:
+            masks[v] |= bit
+    survivors: list[list[int]] = [[] for _ in member_sets]
+    mask_of = masks.__getitem__
+    drops = range(z - 2)
+    for v, own in enumerate(masks):
+        if own:
+            ints = map(mask_of, adjacency[v])
+            for _ in drops:
+                ints = list(ints)
+                ints = map(and_, accumulate(ints, or_), ints[1:])
+            once = twice = 0
+            for m in ints:
+                twice |= once & m
+                once |= m
+            hit = (twice if z > 1 else once) & own
+            while hit:
+                low = hit & -hit
+                survivors[-low.bit_length()].append(v)
+                hit ^= low
+    return survivors

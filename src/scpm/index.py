@@ -32,10 +32,15 @@ def build_index(g: AttributedGraph) -> AttributeIndex:
     Vertices are scanned in ascending order, so each attribute's list
     arrives sorted; attributes keep the order of their first carrier. An
     incidence allocates nothing but its slot in the list, and each list is
-    replaced in place by its tuple, so no posting is held twice.
+    replaced in place by its tuple, so no posting is held twice. When the
+    file ids already are 0..n-1, ``external_ids`` holds the very int
+    objects the graph uses as vertices, and the postings share them instead
+    of holding a fresh int per incidence.
     """
+    ids = g.external_ids
+    vertices = ids if ids and ids[-1] == len(ids) - 1 else range(len(g.attributes))
     posting: dict = {}
-    for v, attrs in enumerate(g.attributes):
+    for v, attrs in zip(vertices, g.attributes):
         for a in attrs:
             try:
                 posting[a].append(v)

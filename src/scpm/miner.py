@@ -27,7 +27,12 @@ seven prunings, the last of which the exhaustive one shares:
   (no quasi-clique can leave them),
 * the set's members are peeled to their z-core over the graph's adjacency
   (``graph.z_core``) before its view is built, since no quasi-clique member
-  lies outside that core; most of a sparse posting falls away here,
+  lies outside that core; most of a sparse posting falls away here. A
+  frequent singleton's members are already its posting's first-pass
+  survivors, the members with z neighbours in the posting, made for every
+  singleton in one sweep over the adjacency (``graph.z_survivors``); they
+  hold the posting's core, and the gates below read their count, so a
+  singleton whose survivors are too few is not peeled at all,
 * a set is searched only when its members, and then its core, number at
   least eps_min * sigma_min (tested as count / sigma_min >= eps_min): the
   coverage set lies in the core, so a smaller core gives eps below eps_min
@@ -74,7 +79,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .graph import AttributedGraph, induced_view, z_core
+from .graph import AttributedGraph, induced_view, z_core, z_survivors
 from .index import AttributeIndex, frequent_attributes, vertex_set
 # The benchmark's self-test test_missing_function_is_absent_not_zero deletes this name.
 from .index import intersect_sorted  # noqa: F401
@@ -330,8 +335,9 @@ class _Walk:
     adding its expansions to the run's ``stats``, and returns its coverage
     set, whether to extend it, and a callable that yields its patterns.
     ``mask`` is the set's posting as a bitset and ``members`` the sorted
-    vertices its search runs on: the whole posting for a singleton, else the
-    posting ANDed with both parents' returned bitsets. A policy may skip the
+    vertices its search runs on: for a singleton its whole posting, or its
+    entry in the ``first_pass`` that ``run`` was given; else the posting
+    ANDed with both parents' returned bitsets. A policy may skip the
     search of a set whose own eps cannot reach eps_min. If no superset can
     reach it either, or the set is closed, it returns an empty coverage set,
     False and None; otherwise it returns, in place of the coverage set, a
@@ -360,12 +366,23 @@ class _Walk:
         self.patterns: list[PatternRecord] = []
         self.stats = MinerStats()
 
-    def run(self, g: AttributedGraph, index: AttributeIndex) -> MiningResult:
-        """Walk the class of frequent singletons, by ascending support."""
+    def run(
+        self,
+        g: AttributedGraph,
+        index: AttributeIndex,
+        first_pass: Callable[[list[tuple[int, ...]]], list[list[int]]] | None = None,
+    ) -> MiningResult:
+        """Walk the class of frequent singletons, by ascending support. A
+        singleton's members are its posting, or its entry in
+        ``first_pass(postings)`` when that is given."""
         self.attributes = g.attribute_dictionary
         singles = frequent_attributes(index, self.cfg.sigma_min)
         singles.sort(key=lambda e: (len(e[1]), e[0]))
-        self._walk_class([(a, len(p), _bitset(p), p) for a, p in singles])
+        postings = [p for _, p in singles]
+        members = postings if first_pass is None else first_pass(postings)
+        self._walk_class(
+            [(a, len(p), _bitset(p), m) for (a, p), m in zip(singles, members)]
+        )
         return MiningResult(self.records, self.patterns, self.stats)
 
     def _walk_class(self, candidates):
@@ -439,17 +456,19 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     Emits one record per visited attribute set with sigma >= sigma_min that
     satisfies eps >= eps_min and delta >= delta_min, plus its top-k patterns,
     in depth-first discovery order. Sets failing the extension tests are
-    reported (when they qualify) but never extended. A set whose members'
-    z-core is too small to reach eps_min is visited without a search: too
-    small for eps_min * sigma_min, it is not extended; too small for eps_min
-    times its own support, it is not recorded, and unless it is closed (it
-    has no frequent join in its class) it is extended on its core. A
-    search that overflows, on the set's view or on a simulation sample drawn
-    to score it, drops that set unreported and unextended unless fail_fast
-    is set. A set that is not searched cannot overflow, so under a budget
-    the exhaustive miner exceeds on such a set, this miner keeps the set's
-    subtree; wherever nothing overflows the two emit the same records and
-    patterns.
+    reported (when they qualify) but never extended. A frequent singleton's
+    members are its posting's first-pass survivors (``graph.z_survivors``,
+    one sweep for all singletons), which hold the posting's z-core. A set
+    whose members' z-core is too small to reach eps_min is visited without
+    a search: too small for eps_min * sigma_min, it is not extended; too
+    small for eps_min times its own support, it is not recorded, and unless
+    it is closed (it has no frequent join in its class) it is extended on
+    its core. A search that overflows, on the set's view or on a simulation
+    sample drawn to score it, drops that set unreported and unextended
+    unless fail_fast is set. A set that is not searched cannot overflow, so
+    under a budget the exhaustive miner exceeds on such a set, this miner
+    keeps the set's subtree; wherever nothing overflows the two emit the
+    same records and patterns.
     """
     null = _null_model(g, cfg)
     gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
@@ -489,7 +508,8 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
 
         return covered, prune_extension(covered, cfg, floor), patterns
 
-    return _Walk(cfg, null, evaluate).run(g, index)
+    first_pass = partial(z_survivors, g.adjacency, z=cfg.qc_params.z)
+    return _Walk(cfg, null, evaluate).run(g, index, first_pass)
 
 
 def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> MiningResult:

@@ -2,10 +2,11 @@
 
 Two models for the expected fraction of covered vertices in a random
 size-sigma vertex subset: a Monte-Carlo estimator (mean over r independent
-samples, each peeled to its z-core by ``graph.z_core``, the peel the miner
-also applies to attribute sets, and, when the core can still hold a
-quasi-clique, mined with the coverage engine) and an analytical upper bound
-built from the degree distribution.
+samples, each peeled to its z-core, the first pass made for all samples of
+a support in one sweep by ``graph.z_survivors`` and the peel finished by
+``graph.z_core``, as the miner does for attribute sets, and, when the core
+can still hold a quasi-clique, mined with the coverage engine) and an
+analytical upper bound built from the degree distribution.
 
 A vertex needs degree at least z = ceil(gamma_min * (min_size - 1)) inside
 the sample to sit in any quasi-clique, and the chance that a degree-alpha
@@ -28,6 +29,7 @@ from .graph import (
     degree_distribution,
     induced_view,
     z_core,
+    z_survivors,
 )
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
@@ -142,14 +144,20 @@ def sim_eps_exp(
     evaluation order. Also reports the sample standard deviation.
 
     Every quasi-clique of a sample lies in its z-core, so each sample is
-    first peeled to that core over the graph's adjacency by
-    ``graph.z_core``, and a view, which shares that adjacency, is built and
-    searched only for the survivors. A core smaller than min_size holds no
-    quasi-clique and scores 0 without a search. Searching the core gives
-    the same coverage and the same expansions as searching the whole
-    sample, since the engine peels every view with the same ``z_core``
-    first, and a core passes that peel unchanged. The expansions of every
-    sample search, including one that overflows, are added to ``stats``.
+    first peeled to that core over the graph's adjacency, and a view, which
+    shares that adjacency, is built and searched only for the core. All r
+    samples of the support are drawn first, and one sweep of
+    ``graph.z_survivors`` makes the peel's first pass for all of them. A
+    sample with fewer than min_size survivors has a core too small for any
+    quasi-clique and scores 0 with no peel and no search; only the others
+    are sorted, for the memo key, and have their survivors peeled by
+    ``graph.z_core``, and the drawn samples are dropped before any search.
+    A core smaller than min_size scores 0 without a search too. Searching
+    the core gives the same coverage and the same expansions as searching
+    the whole sample, since the engine peels every view with the same
+    ``z_core`` first, and a core passes that peel unchanged. Samples are
+    searched in trial order, and the expansions of every sample search,
+    including one that overflows, are added to ``stats``.
     The miners ask for a support only to score a set whose eps reaches
     eps_min, so their ``expansions`` count the samples of those supports
     alone.
@@ -160,14 +168,27 @@ def sim_eps_exp(
     if not 1 <= sigma <= n:
         raise ValueError(f"sigma must be in [1, {n}], got {sigma}")
     z = params.z
+    # Drawn from a tuple, the samples share one int per vertex; drawn from
+    # range(n), the same draw would make a new int per sampled vertex.
+    vertices = tuple(range(n))
+    samples = [
+        random.Random(_stream_seed(cfg.seed, sigma, trial)).sample(vertices, sigma)
+        for trial in range(cfg.samples)
+    ]
+    survivors = z_survivors(g.adjacency, samples, z)
+    # Only a sample with min_size survivors can be searched, so only it
+    # needs its sorted members as the memo key.
+    keys = [
+        tuple(sorted(sample)) if len(kept) >= params.min_size else None
+        for sample, kept in zip(samples, survivors)
+    ]
+    del samples
     fractions_seen: dict[tuple[int, ...], float] = {}
     values = []
-    for trial in range(cfg.samples):
-        rng = random.Random(_stream_seed(cfg.seed, sigma, trial))
-        members = tuple(sorted(rng.sample(range(n), sigma)))
-        frac = fractions_seen.get(members)
+    for key, kept in zip(keys, survivors):
+        frac = 0.0 if key is None else fractions_seen.get(key)
         if frac is None:
-            core = z_core(g.adjacency, members, z)
+            core = z_core(g.adjacency, kept, z)
             if len(core) < params.min_size:
                 frac = 0.0
             else:
@@ -175,7 +196,7 @@ def sim_eps_exp(
                     induced_view(g, core), params, budget=budget, stats=stats
                 )
                 frac = len(covered) / sigma
-            fractions_seen[members] = frac
+            fractions_seen[key] = frac
         values.append(frac)
     mean = math.fsum(values) / len(values)
     if len(values) > 1:

@@ -19,7 +19,7 @@ from scpm import (
     z_core,
 )
 
-from scpm.graph import MAX_VERTEX_ID
+from scpm.graph import MAX_VERTEX_ID, z_survivors
 
 from oracles import (
     brute_z_core,
@@ -359,6 +359,69 @@ class TestZCore:
         assert params.z == 2
         assert self.core_of(g, range(n), params) == list(range(300))
         assert self.core_of(g, range(1, n), params) == []
+
+    @staticmethod
+    def first_pass(adjacency, members, z):
+        """The members, sorted, that have z neighbours among them."""
+        inside = set(members)
+        return [v for v in sorted(inside) if sum(u in inside for u in adjacency[v]) >= z]
+
+    def check_survivors(self, g, member_sets, z):
+        """z_survivors of the sets against a first pass per set, and the
+        z-core of each set's survivors against the round-by-round oracle."""
+        survivors = z_survivors(g.adjacency, member_sets, z)
+        assert survivors == [self.first_pass(g.adjacency, m, z) for m in member_sets]
+        for members, kept in zip(member_sets, survivors):
+            assert z_core(g.adjacency, kept, z) == brute_z_core(g.adjacency, members, z)
+        return survivors
+
+    def test_survivors_match_a_first_pass_per_set(self):
+        rng = random.Random(2025)
+        dropped = kept = widest = 0
+        for z in (1, 2, 3, 4):
+            for _ in range(10):
+                n = rng.randint(20, 150)
+                g = random_attributed_graph(rng, n, rng.uniform(1.5, 12.0) / n, 1)
+                # More sets than a machine word has bits, unsorted and of
+                # every size, the empty one and the whole graph included.
+                member_sets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(1, 90))]
+                member_sets += [[], list(range(n - 1, -1, -1))]
+                widest = max(widest, len(member_sets))
+                survivors = self.check_survivors(g, member_sets, z)
+                assert survivors[-2] == []
+                kept += sum(map(len, survivors))
+                dropped += sum(map(len, member_sets)) - sum(map(len, survivors))
+        assert kept and dropped
+        assert widest > 64
+
+    def test_survivors_of_a_vertex_in_every_set(self):
+        # A star's centre in each of 70 sets, set i adding leaf i + 1 and
+        # i + 2: at z = 2 the centre survives in every set, the leaves in none.
+        g = make_graph([f"0 {v}" for v in range(1, 72)])
+        member_sets = [[i + 2, 0, i + 1] for i in range(70)]
+        survivors = self.check_survivors(g, member_sets, 2)
+        assert survivors == [[0]] * 70
+        assert self.check_survivors(g, member_sets, 1) == [sorted(m) for m in member_sets]
+        assert self.check_survivors(g, member_sets, 3) == [[]] * 70
+
+    def test_survivors_of_a_long_path(self):
+        # The 599-vertex path loses only its two ends to the first pass;
+        # z_core of the survivors then peels the rest one vertex at a time.
+        n = 600
+        edges = [f"{v} {(v + 1) % 300}" for v in range(300)]
+        edges += [f"{v} {v + 1}" for v in range(299, n - 1)]
+        g = load_graph(iter(edges), iter(str(v) for v in range(n)))
+        path, whole = list(range(1, n)), list(range(n))
+        survivors = self.check_survivors(g, [path, whole], 2)
+        assert survivors == [list(range(2, n - 1)), list(range(n - 1))]
+        assert z_core(g.adjacency, survivors[0], 2) == []
+        assert z_core(g.adjacency, survivors[1], 2) == list(range(300))
+
+    def test_survivors_need_z_of_at_least_one(self):
+        g = make_graph(["0 1"])
+        with pytest.raises(ValueError, match="z must be at least 1"):
+            z_survivors(g.adjacency, [[0, 1]], 0)
+        assert z_survivors(g.adjacency, [], 2) == []
 
     def test_restricted_postings(self):
         # The miner peels an attribute set's posting, filtered by the

@@ -30,6 +30,28 @@ def test_posting_lists_match_scan_oracle():
         assert index.posting.get(a, ()) == expected
 
 
+def test_postings_share_the_graph_vertex_objects():
+    # File ids 0..n-1 are the graph's own vertex objects; every posting
+    # entry is that object, not an equal int made per incidence.
+    rng = random.Random(5)
+    n = 600
+    g = random_attributed_graph(rng, n, 0.01, 4)
+    assert g.external_ids[-1] == n - 1
+    index = build_index(g)
+    entries = [v for vs in index.posting.values() for v in vs]
+    assert len(entries) > n
+    assert all(v is g.external_ids[v] for v in entries)
+    for a in range(len(g.attribute_dictionary)):
+        assert index.posting.get(a, ()) == tuple(v for v in range(n) if a in g.attributes[v])
+
+
+def test_remapped_ids_give_dense_postings():
+    g = load_graph(iter(["10 30", "30 50"]), iter(["10 x", "30 x y", "50 y"]))
+    index = build_index(g)
+    x, y = (g.attribute_dictionary.id_for(t) for t in "xy")
+    assert index.posting == {x: (0, 1), y: (1, 2)}
+
+
 def test_vertex_set_singleton_identity(example_index, example_ids):
     assert vertex_set(example_index, (example_ids.A,)) == example_index.posting[example_ids.A]
 

@@ -26,6 +26,7 @@ from scpm import (
     structural_correlation,
     vertex_prune,
     vertex_set,
+    z_core,
 )
 
 from oracles import random_attributed_graph
@@ -590,6 +591,8 @@ class TestMembersFromMasks:
         # Open thresholds extend every set, so the lattice reaches depth 3
         # and beyond; each child's search members, decoded from bitsets,
         # must be its posting list filtered by both parents' coverage sets.
+        # A singleton's members are its posting's first-pass survivors,
+        # whose z-core is the posting's.
         import scpm.miner
 
         rng = random.Random(1010)
@@ -607,7 +610,12 @@ class TestMembersFromMasks:
                 posting = vertex_set(index, attrs)
                 assert mask.bit_count() == len(posting)
                 if parents is None:
-                    assert members == posting
+                    inside = set(posting)
+                    z = cfg.qc_params.z
+                    assert list(members) == [
+                        v for v in posting if sum(u in inside for u in g.adjacency[v]) >= z
+                    ]
+                    assert z_core(g.adjacency, members, z) == z_core(g.adjacency, posting, z)
                     continue
                 a, b = (set(covered[p]) for p in parents)
                 assert members == tuple(v for v in posting if v in a and v in b)
@@ -642,6 +650,7 @@ class TestPeelBeforeView:
         # coverage set that reaches eps_min.
         peeled_views.clear()
         monkeypatch.setattr(scpm.miner, "z_core", lambda adjacency, members, z: members)
+        monkeypatch.setattr(scpm.miner, "z_survivors", lambda adjacency, member_sets, z: member_sets)
         whole = run_scpm(g, index, cfg)
         assert not all(peeled_views)
         assert len(peeled_views) >= searched

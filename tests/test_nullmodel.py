@@ -221,6 +221,32 @@ class TestSimEpsExp:
             outcomes.add(got == "overflow")
         assert outcomes == {True, False}
 
+    def test_repeated_samples_match_search_of_whole_samples(self):
+        # Near sigma = n the samples repeat, so the memo answers most of
+        # them; the estimate and the expansions still equal a search of
+        # every whole sample.
+        rng = random.Random(33)
+        repeats = 0
+        for _ in range(6):
+            n = rng.randint(8, 14)
+            g = random_attributed_graph(rng, n, 0.6, 1)
+            cfg = NullModelConfig(kind=SIMULATION, samples=30, seed=rng.randint(0, 99))
+            for sigma in (n, n - 1, n - 2):
+                got_stats, want_stats = SearchStats(), SearchStats()
+                got = sim_eps_exp(g, sigma, P06_4, cfg, stats=got_stats)
+                want = reference_sim_eps_exp(
+                    g, sigma, P06_4, cfg, budget=nm.DEFAULT_EXPANSION_BUDGET, stats=want_stats
+                )
+                assert (got.value, got.std_dev) == want
+                assert got_stats.expansions == want_stats.expansions
+                samples = {
+                    tuple(sorted(random.Random(nm._stream_seed(cfg.seed, sigma, t)).sample(range(n), sigma)))
+                    for t in range(cfg.samples)
+                }
+                repeats += cfg.samples - len(samples)
+                assert want_stats.expansions > 0
+        assert repeats > 100
+
     def test_full_support_memo_searches_once(self, monkeypatch):
         # Every sample at sigma = n is the whole graph, so only the first
         # is searched.
