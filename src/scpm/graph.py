@@ -101,11 +101,14 @@ class GraphView:
 
     ``adjacency`` is the parent graph's own list, shared and not copied.
     ``neighbors(v)`` reads a member's sorted neighbours among the members.
+    ``engine`` holds the quasi-clique search engine last built on the view,
+    so that a second search of it can reuse the first one's engine.
     """
 
     members: tuple[int, ...]
     adjacency: Sequence[Sequence[int]] = field(repr=False)
     member_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    engine: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "member_set", frozenset(self.members))

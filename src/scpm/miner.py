@@ -208,21 +208,6 @@ def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
     return NullModel(g, cfg.qc_params, cfg.null_model, budget=cfg.expansion_budget)
 
 
-def _coverage(
-    g: AttributedGraph,
-    core: list[int],
-    cfg: MinerConfig,
-    stats: SearchStats | None,
-) -> tuple[int, ...]:
-    """Coverage set of a sorted z-core (``graph.z_core`` of a set's
-    members), searched on its view over the graph's shared adjacency. The
-    engine peels every view with the same ``z_core`` before it searches, so
-    the coverage set and the expansions equal those of a search of the
-    members' whole view, and the core itself passes that peel unchanged."""
-    view = induced_view(g, core)
-    return covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
-
-
 def _can_reach_eps_min(count: int, divisor: int, cfg: MinerConfig) -> bool:
     """Whether a coverage set of at most ``count`` vertices can give eps >=
     eps_min to a set or its supersets, whose eps is at most count /
@@ -262,16 +247,20 @@ def structural_correlation(
     Support counts the full posting (``vertex_set``). The quasi-clique
     search runs on the posting, restricted to ``restriction`` when one is
     supplied (sound whenever the restriction contains every coverage set of
-    a subset of s), and only on the view of those members' z-core. The
-    record is scored whatever its eps; the miners consult the null model
-    only for a set whose eps reaches eps_min.
+    a subset of s), and only on the view of those members' z-core
+    (``graph.z_core``). The engine peels every view with the same ``z_core``
+    before it searches, so the coverage set equals that of a search of the
+    members' whole view, and the core itself passes that peel unchanged.
+    The record is scored whatever its eps; the miners consult the null
+    model only for a set whose eps reaches eps_min.
     """
     s = tuple(sorted(set(s)))
     posting = vertex_set(index, s)
     if not posting:
         raise ValueError(f"attribute set {s} has no supporting vertices")
     members = posting if restriction is None else tuple(v for v in posting if v in restriction)
-    covered = _coverage(g, z_core(g.adjacency, members, cfg.qc_params.z), cfg, None)
+    view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
+    covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget)
     return _score(s, len(posting), covered, _null_model(g, cfg), None)
 
 
@@ -496,14 +485,17 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
             if unasked and closed():
                 return (), False, None
             return tuple(core), prune_extension(core, cfg, floor), None
-        covered = _coverage(g, core, cfg, stats)
+        view = induced_view(g, core)
+        covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
 
         def patterns():
             # Every quasi-clique of the set's view lies in its coverage set,
-            # so the view on that set has the same maximal family.
-            view = induced_view(g, covered)
+            # so the view on that set has the same maximal family. A
+            # coverage set that is the whole core has the core's view, whose
+            # engine the coverage search left on it.
+            top = view if len(covered) == len(core) else induced_view(g, covered)
             return top_k_patterns(
-                view, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=stats
+                top, cfg.qc_params, cfg.k, budget=cfg.expansion_budget, stats=stats
             )
 
         return covered, prune_extension(covered, cfg, floor), patterns

@@ -226,7 +226,8 @@ class NullModel:
     request for that support raises it again without searching, since the
     same samples would overflow the same budget. The miners call
     ``expected`` only for a set whose eps reaches eps_min, so the supports
-    of the other sets are never simulated.
+    of the other sets are never simulated. The analytical model's degree
+    histogram is built on its first use, so a simulation never builds it.
     """
 
     def __init__(
@@ -240,7 +241,7 @@ class NullModel:
         self._g = g
         self._params = params
         self._cfg = cfg
-        self._hist = degree_distribution(g)
+        self._hist: DegreeHistogram | None = None
         self._budget = budget
         self._cache: dict[int, ExpectedCorrelation] = {}
         # Support -> message of the overflow its simulation raised.
@@ -263,6 +264,8 @@ class NullModel:
             # No sample of a sub-2-vertex graph can reach any degree floor.
             value = ExpectedCorrelation(value=0.0, kind=self._cfg.kind)
         elif self._cfg.kind == ANALYTICAL:
+            if self._hist is None:
+                self._hist = degree_distribution(self._g)
             value = max_eps_exp(self._hist, sigma, self._params, self._g.vertex_count)
         else:
             try:

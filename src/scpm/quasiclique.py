@@ -39,13 +39,24 @@ Pruning applied at every node, all of it sound for the above outputs:
 * only when gamma_min >= 1/2, where quasi-cliques have diameter at most 2,
   restriction of extensions to vertices within distance 2 of every chosen
   vertex, and at gamma_min = 1, where they are cliques, to the common
-  neighbours of the chosen vertices.
+  neighbours of the chosen vertices. A vertex's distance-2 ball is made on
+  its first read, so a walk pays only for the balls of the vertices it
+  branches on.
+
+An engine's fixed cost follows the work of its searches. Its bitmasks are
+made in C-level passes, its degree-floor and size-cap tables are shared by
+every engine built with the same parameters object, and it is kept on the
+view it was built for (``GraphView.engine``): a later search of that view
+with the same parameters object reuses it, with its expansion counter at 0
+and the new call's budget. A coverage search followed by a top-k search of
+the same view therefore builds one engine and peels once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .graph import GraphView, z_core
@@ -87,6 +98,12 @@ class QuasiCliqueParams:
     def z(self) -> int:
         """Degree every member of any admissible quasi-clique must reach."""
         return self.degree_floor(self.min_size)
+
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """The engine's degree-floor and size-cap tables, shared by every
+        search with these parameters; ``_gamma_tables`` grows them."""
+        return [], []
 
 
 @dataclass(frozen=True)
@@ -134,6 +151,19 @@ def is_gamma_dense(view: GraphView, q, params: QuasiCliqueParams) -> bool:
     )
 
 
+def _gamma_tables(params: QuasiCliqueParams, n: int) -> tuple[list[int], list[int]]:
+    """The tables of ``params``, grown to cover a view of n vertices:
+    floors[s], the degree floor of a size-s set, for every s <= n + 1, and
+    size_cap[d], the largest set a vertex of within-degree d can belong to,
+    for every d <= n."""
+    tables = floors, size_cap = params._tables
+    if len(floors) < n + 2:
+        num, den = params.gamma_min.numerator, params.gamma_min.denominator
+        floors.extend(-(-num * (s - 1) // den) for s in range(len(floors), n + 2))
+        size_cap.extend(d * den // num + 1 for d in range(len(size_cap), n + 1))
+    return tables
+
+
 def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
     """The view on the z-core of the view's members (``graph.z_core``).
 
@@ -148,18 +178,28 @@ def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
 
 
 class _ViewSearch:
-    """Bitmask set-enumeration search over one z-core-reduced view."""
+    """Bitmask set-enumeration search over one z-core-reduced view.
+
+    One engine may serve several searches of its view (``_search``). A
+    search changes only its counter and budget, which ``_search`` resets,
+    and the reach balls built on first read, which any walk would build
+    alike.
+    """
 
     def __init__(self, view: GraphView, params: QuasiCliqueParams, budget: int):
         core = vertex_prune(view, params)
-        inside = core.member_set.intersection
-        nbrs = {v: inside(core.adjacency[v]) for v in core.members}
-        # Canonical order: ascending degree in the pruned view, ties by id.
-        order = sorted(core.members, key=lambda v: (len(nbrs[v]), v))
-        bit = {v: 1 << p for p, v in enumerate(order)}
+        members = core.members
+        n = len(members)
+        # Each member's neighbours in the core, then the canonical order:
+        # ascending degree in the core, ties by id, which the stable sort
+        # keeps from the sorted members.
+        nbrs = list(map(core.member_set.intersection, map(core.adjacency.__getitem__, members)))
+        rank = sorted(range(n), key=list(map(len, nbrs)).__getitem__)
+        order = list(map(members.__getitem__, rank))
+        bit = dict(zip(order, map((1).__lshift__, range(n))))
         # The bits of distinct neighbours are distinct, so their sum is their OR.
-        adj = [sum(map(bit.__getitem__, nbrs[v])) for v in order]
-        n = len(order)
+        adj = [sum(map(bit.__getitem__, nbrs[i])) for i in rank]
+        self.params = params
         self.min_size = params.min_size
         self.adj = adj
         self.n = n
@@ -167,25 +207,28 @@ class _ViewSearch:
         self.full_mask = (1 << n) - 1
         self.budget = budget
         self.expansions = 0
-        # floors[s] = degree floor for a size-s set; size_cap[d] = largest set
-        # size a vertex of within-degree d can belong to.
-        num, den = params.gamma_min.numerator, params.gamma_min.denominator
-        self.floors = [-(-num * (s - 1) // den) for s in range(n + 2)]
-        self.size_cap = [d * den // num + 1 for d in range(n + 1)]
+        self.floors, self.size_cap = _gamma_tables(params, n)
         # reach[p] holds every vertex that can share a quasi-clique with p:
         # its neighbours at gamma 1, where every member is adjacent to every
-        # other, and its distance-2 ball from gamma 1/2 up.
-        if params.gamma_min == 1:
+        # other, its distance-2 ball from gamma 1/2 up, built on first read
+        # (``_ball``), and every vertex below 1/2. 0 marks a ball not built
+        # yet; no entry is 0 once built, since a ball holds its own vertex
+        # and every core member has z >= 1 neighbours.
+        gamma = params.gamma_min
+        if gamma.numerator == gamma.denominator:
             self.reach = adj
-        elif params.gamma_min * 2 >= 1:
-            self.reach = [self._distance2_mask(p) for p in range(n)]
+        elif 2 * gamma.numerator >= gamma.denominator:
+            self.reach = [0] * n
         else:
-            self.reach = None
+            self.reach = [self.full_mask] * n
 
-    def _distance2_mask(self, p: int) -> int:
-        mask = self.adj[p] | (1 << p)
-        for q in _bits(self.adj[p]):
-            mask |= self.adj[q]
+    def _ball(self, p: int) -> int:
+        """reach[p] from gamma 1/2 up: p's distance-2 ball, kept once built."""
+        adj = self.adj
+        mask = adj[p] | (1 << p)
+        for q in _bits(adj[p]):
+            mask |= adj[q]
+        self.reach[p] = mask
         return mask
 
     def _is_dense(self, mask: int, size: int) -> bool:
@@ -365,7 +408,7 @@ class _ViewSearch:
         shift = self.n.bit_length()
         low_field = (1 << shift) - 1
         root_bit = 1 << root
-        cand0 = (self.reach[root] if self.reach is not None else self.full_mask) & ~root_bit
+        cand0 = (self.reach[root] or self._ball(root)) & ~root_bit
         nodes = [(root_bit, cand0)]
         while nodes:
             chosen, cand = nodes.pop()
@@ -406,10 +449,11 @@ class _ViewSearch:
         child keeps the extensions ordered after its branch vertex.
         """
         reach = self.reach
+        ball = self._ball
         later = 0
         for p in last_first:
             bit = 1 << p
-            nodes.append((chosen | bit, later if reach is None else later & reach[p]))
+            nodes.append((chosen | bit, later & (reach[p] or ball(p))))
             later |= bit
 
 
@@ -420,6 +464,20 @@ def _antichain_insert(pool: list[int], mask: int):
             return
     pool[:] = [e for e in pool if e & ~mask != 0]
     pool.append(mask)
+
+
+def _search(view: GraphView, params: QuasiCliqueParams, budget: int) -> _ViewSearch:
+    """The engine kept on ``view`` when it was built for this ``params``
+    object, its counter reset to 0 and its budget set to ``budget``;
+    otherwise a new engine, which the view then keeps in its place."""
+    search = view.engine
+    if search is not None and search.params is params:
+        search.expansions = 0
+        search.budget = budget
+    else:
+        search = _ViewSearch(view, params, budget)
+        object.__setattr__(view, "engine", search)
+    return search
 
 
 def _finish(search: _ViewSearch, stats: SearchStats | None):
@@ -455,9 +513,10 @@ def covered_vertices(
     Computed without full enumeration: each still-uncovered vertex roots an
     exhaustive walk, explored greedy-first, that stops at the first
     admissible set found, and vertices already covered are never searched
-    again.
+    again. The engine is kept on ``view`` for a later search with the same
+    ``params``; each call counts its own expansions against its own budget.
     """
-    search = _ViewSearch(view, params, budget)
+    search = _search(view, params, budget)
     try:
         covered = search.cover()
     finally:
@@ -476,11 +535,13 @@ def top_k_patterns(
     """The k best maximal quasi-cliques under the reporting order (all of
     them when ``k`` is None): always the first k of enumerate_maximal.
 
-    One walk with a dynamic size floor; see ``_ViewSearch.maximal``.
+    One walk with a dynamic size floor; see ``_ViewSearch.maximal``. An
+    engine an earlier search left on ``view`` for the same ``params`` is
+    reused, with a fresh expansion count and this call's budget.
     """
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
-    search = _ViewSearch(view, params, budget)
+    search = _search(view, params, budget)
     try:
         masks = search.maximal(k)
     finally:

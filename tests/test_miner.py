@@ -661,6 +661,56 @@ class TestPeelBeforeView:
         assert whole.stats.expansions >= peeled.stats.expansions
 
 
+class TestOneEnginePerSearchedSet:
+    """A searched set's top-k search reuses its coverage search's engine
+    whenever the coverage set is the whole core, so such a set builds one
+    view and one engine, not two. On example11 the set A covers 9 of its
+    11 core vertices, so its top-k search builds its own."""
+
+    @pytest.mark.parametrize("instance", ["example11", "planted2000"])
+    def test_engines_built(self, instance, request, monkeypatch):
+        import scpm.miner
+        import scpm.quasiclique as qc
+
+        g, index, cfg = _instance(request, instance)
+        builds = 0
+        covers = []  # per coverage search: whether it covered its whole view
+        top_k_builds = reused = 0
+
+        class Counting(qc._ViewSearch):
+            def __init__(self, *args):
+                nonlocal builds
+                builds += 1
+                super().__init__(*args)
+
+        def covering(view, params, **kwargs):
+            covered = covered_vertices(view, params, **kwargs)
+            covers.append(len(covered) == len(view))
+            return covered
+
+        def top_k(view, params, k, **kwargs):
+            nonlocal top_k_builds, reused
+            if covers[-1]:
+                reused += 1
+            else:
+                top_k_builds += 1
+            return qc.top_k_patterns(view, params, k, **kwargs)
+
+        monkeypatch.setattr(qc, "_ViewSearch", Counting)
+        monkeypatch.setattr(scpm.miner, "covered_vertices", covering)
+        monkeypatch.setattr(scpm.miner, "top_k_patterns", top_k)
+        result = run_scpm(g, index, cfg)
+        assert reused > 0
+        assert builds == len(covers) + top_k_builds
+        monkeypatch.undo()
+        naive = run_naive(g, index, cfg)
+        key = lambda p: (p.attribute_set, p.quasi_clique.vertices)  # noqa: E731
+        assert sorted(result.patterns, key=key) == sorted(naive.patterns, key=key)
+        assert sorted(result.records, key=lambda r: r.attribute_set) == sorted(
+            naive.records, key=lambda r: r.attribute_set
+        )
+
+
 class TestSkipSmallCores:
     """run_scpm searches a set only when its z-core holds at least
     eps_min * sigma_min vertices: its coverage set lies in that core, so a

@@ -310,3 +310,26 @@ class TestNullModelProvider:
         g = load_graph(iter([]), iter(["0 x"]))
         model = NullModel(g, P06_4, NullModelConfig(kind=ANALYTICAL))
         assert model.expected(1).value == 0.0
+
+    def test_degree_histogram_only_for_the_analytical_model(self, monkeypatch):
+        # Only max_eps_exp reads the histogram, so a simulation never builds
+        # it and the analytical model builds it once, at its first support.
+        calls = 0
+        real = nm.degree_distribution
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return real(g)
+
+        monkeypatch.setattr(nm, "degree_distribution", counting)
+        g = random_attributed_graph(random.Random(15), 20, 0.25, 2)
+        sim = NullModel(g, P06_4, NullModelConfig(kind=SIMULATION, samples=3))
+        for sigma in (5, 9, 14):
+            sim.expected(sigma)
+        assert calls == 0
+        analytical = NullModel(g, P06_4, NullModelConfig(kind=ANALYTICAL))
+        assert calls == 0
+        for sigma in (5, 9, 14):
+            assert analytical.expected(sigma) == max_eps_exp(real(g), sigma, P06_4, 20)
+        assert calls == 1

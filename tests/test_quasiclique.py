@@ -409,6 +409,65 @@ class TestBudget:
         assert stats.expansions > before
 
 
+class TestEngineReuse:
+    """A view keeps the engine its first search built, and a later search of
+    it with the same parameters object reuses that engine with a fresh
+    counter and its own budget, so it returns what a fresh view would."""
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [Fraction(2, 5), Fraction(3, 5), Fraction(1)],
+        ids=["no-reach", "distance-2-reach", "adjacency-reach"],
+    )
+    def test_top_k_after_coverage_matches_a_fresh_view(self, gamma):
+        from scpm import GraphView
+
+        def overflows(view, k):
+            try:
+                top_k_patterns(view, params, k, budget=1)
+            except SearchBudgetExceeded:
+                return True
+            return False
+
+        rng = random.Random(5309)
+        params = QuasiCliqueParams(gamma, 3)
+        reused = outcomes = 0
+        for trial in range(40):
+            view = random_view(rng, rng.randint(5, 14), rng.choice([0.3, 0.5, 0.7]))
+            fresh = lambda: GraphView(view.members, view.adjacency)  # noqa: E731
+            k = rng.randint(1, 4)
+            covered_vertices(view, params)
+            engine = view.engine
+            stats, fresh_stats = SearchStats(), SearchStats()
+            patterns = top_k_patterns(view, params, k, stats=stats)
+            reused += view.engine is engine
+            assert patterns == top_k_patterns(fresh(), params, k, stats=fresh_stats)
+            assert stats.expansions == fresh_stats.expansions
+            # The count starts at 0: the fresh count fits the budget, one
+            # expansion fewer does not.
+            expansions = fresh_stats.expansions
+            assert top_k_patterns(view, params, k, budget=expansions) == patterns
+            if expansions > 1:
+                with pytest.raises(SearchBudgetExceeded):
+                    top_k_patterns(view, params, k, budget=expansions - 1)
+            overflow = overflows(view, k)
+            assert overflow == overflows(fresh(), k)
+            outcomes |= 1 << overflow
+            # An engine left by an overflow serves the next search as well.
+            assert top_k_patterns(view, params, k) == patterns
+            assert view.engine is engine
+        assert reused == 40
+        assert outcomes == 0b11  # budget 1 both sufficed and overflowed
+
+    def test_other_parameters_build_their_own_engine(self):
+        view, fresh = (random_view(random.Random(5310), 12, 0.5) for _ in range(2))
+        first, other = QuasiCliqueParams(Fraction(3, 5), 3), QuasiCliqueParams(Fraction(1), 3)
+        covered_vertices(view, first)
+        engine = view.engine
+        assert top_k_patterns(view, other, 3) == top_k_patterns(fresh, other, 3)
+        assert view.engine is not engine and view.engine.params is other
+
+
 class TestProperties:
     def test_lookahead_soundness(self):
         # Every reported pattern passes the plain density check.
