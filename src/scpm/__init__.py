@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 from .graph import (
     AttributeDictionary,
     AttributedGraph,
-    DegreeHistogram,
     GraphFormatError,
     GraphView,
-    degree_distribution,
     induced_view,
     load_graph,
     z_core,

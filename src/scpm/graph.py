@@ -1,6 +1,6 @@
-"""Attributed graph storage, degree statistics, induced subgraph views that
-share the graph's adjacency, and the z-core peel, the program's only one,
-with its first pass made for many member sets in one sweep.
+"""Attributed graph storage with its degree counts, induced subgraph views
+that share the graph's adjacency, and the z-core peel, the program's only
+one, with its first pass made for many member sets in one sweep.
 
 The graph is immutable after loading: adjacency is a list of strictly sorted
 neighbor tuples over dense vertex ids 0..n-1, and every vertex carries a
@@ -17,10 +17,13 @@ checked parser, which skips blank and comment lines and raises every
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from operator import and_, lt, or_
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 # File vertex ids above this are rejected so dense remapping stays in
 # fixed-width integer territory.
@@ -82,17 +85,12 @@ class AttributedGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-
-@dataclass
-class DegreeHistogram:
-    """Degree distribution of a graph: counts, the maximum degree, and p(alpha)."""
-
-    counts: dict[int, int]
-    max_degree: int
-    probabilities: dict[int, float]
-
-    def prob(self, alpha: int) -> float:
-        return self.probabilities.get(alpha, 0.0)
+    @cached_property
+    def degree_counts(self) -> Mapping[int, int]:
+        """Degree -> number of vertices of that degree, isolated vertices at
+        degree 0; counted on first read and kept, read-only, since every
+        reader shares it."""
+        return MappingProxyType(Counter(map(len, self.adjacency)))
 
 
 @dataclass(frozen=True)
@@ -273,18 +271,6 @@ def load_graph(edge_source: Iterable[str], attribute_source: Iterable[str]) -> A
         external_ids=original_ids,
         dropped_self_loops=self_loops,
     )
-
-
-def degree_distribution(g: AttributedGraph) -> DegreeHistogram:
-    """Histogram of vertex degrees, isolated vertices included at degree 0."""
-    counts: dict[int, int] = {}
-    for neighbors in g.adjacency:
-        d = len(neighbors)
-        counts[d] = counts.get(d, 0) + 1
-    max_degree = max(counts) if counts else 0
-    n = g.vertex_count
-    probabilities = {d: c / n for d, c in counts.items()} if n else {}
-    return DegreeHistogram(counts=counts, max_degree=max_degree, probabilities=probabilities)
 
 
 def induced_view(g: AttributedGraph, members) -> GraphView:

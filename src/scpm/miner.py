@@ -42,11 +42,13 @@ seven prunings, the last of which the exhaustive one shares:
   least eps_min times its own support (tested as count / support >=
   eps_min, the division eps is computed with): below that its own eps =
   covered_count / support cannot reach eps_min, so its record never needs
-  the coverage set. A closed set, which has no superset in the walk, is
-  then skipped. An open one is extended on its core, which contains every
-  coverage set of its supersets and is no smaller than its own coverage
-  set: the children's searches find the same coverage sets, and the
-  extension test below, run on the core, cuts no qualifying superset,
+  the coverage set. Such a set is extended on its core, which contains
+  every coverage set of its supersets and is no smaller than its own
+  coverage set: the children's searches find the same coverage sets, and
+  the extension test below, run on the core, cuts no qualifying superset.
+  When its members already fall below that bound the set asks whether it
+  is closed (has no superset in the walk) and, if so, is skipped unpeeled;
+  a closed set that is extended forms no child,
 * an attribute set is extended only while covered_count / sigma_min >=
   eps_min and, under the analytical null model, normalized_delta(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
@@ -235,31 +237,26 @@ def _score(
 
 
 def structural_correlation(
-    g: AttributedGraph,
-    index: AttributeIndex,
-    s,
-    cfg: MinerConfig,
-    restriction: frozenset[int] | set[int] | None = None,
+    g: AttributedGraph, index: AttributeIndex, s, cfg: MinerConfig
 ) -> CorrelationRecord:
     """Correlation record for attribute set ``s``, scored against a null
     model built from ``cfg``.
 
     Support counts the full posting (``vertex_set``). The quasi-clique
-    search runs on the posting, restricted to ``restriction`` when one is
-    supplied (sound whenever the restriction contains every coverage set of
-    a subset of s), and only on the view of those members' z-core
-    (``graph.z_core``). The engine peels every view with the same ``z_core``
-    before it searches, so the coverage set equals that of a search of the
-    members' whole view, and the core itself passes that peel unchanged.
-    The record is scored whatever its eps; the miners consult the null
-    model only for a set whose eps reaches eps_min.
+    search runs only on the view of the posting's z-core (``graph.z_core``).
+    The engine peels every view with the same ``z_core`` before it
+    searches, so the coverage set equals that of a search of the posting's
+    whole view, and the core itself passes that peel unchanged. The record
+    is scored whatever its eps; the miners consult the null model only for
+    a set whose eps reaches eps_min. The analytical model reads the graph's
+    kept ``degree_counts``, so repeated calls on one graph count degrees
+    once.
     """
     s = tuple(sorted(set(s)))
     posting = vertex_set(index, s)
     if not posting:
         raise ValueError(f"attribute set {s} has no supporting vertices")
-    members = posting if restriction is None else tuple(v for v in posting if v in restriction)
-    view = induced_view(g, z_core(g.adjacency, members, cfg.qc_params.z))
+    view = induced_view(g, z_core(g.adjacency, posting, cfg.qc_params.z))
     covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget)
     return _score(s, len(posting), covered, _null_model(g, cfg), None)
 
@@ -274,9 +271,9 @@ def prune_extension(
 
     A superset with support s >= sigma_min covers at most covered_count of
     this set's vertices, so its eps is at most covered_count / sigma_min.
-    Both tests divide exactly as eps is computed and compare as _qualifies
-    does; correctly rounded division is monotone, so no superset that would
-    qualify is cut off:
+    Both tests divide exactly as eps is computed and compare as
+    ``_Walk._visit`` tests a record; correctly rounded division is
+    monotone, so no superset that would qualify is cut off:
 
     * covered_count / sigma_min >= eps_min, and
     * when ``eps_exp_at_sigma_min`` is given, normalized delta of
@@ -296,10 +293,6 @@ def prune_extension(
     else:
         delta = bound / floor.value
     return delta >= cfg.delta_min
-
-
-def _qualifies(rec: CorrelationRecord, cfg: MinerConfig) -> bool:
-    return rec.eps >= cfg.eps_min and rec.delta >= cfg.delta_min
 
 
 def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -424,7 +417,7 @@ class _Walk:
             covered, extend, patterns = self.evaluate(attrs, mask, members, stats, closed)
             if len(covered) / support >= cfg.eps_min:
                 rec = _score(attrs, support, covered, self.null, stats)
-                if _qualifies(rec, cfg):
+                if rec.delta >= cfg.delta_min:
                     cliques = patterns()
         except SearchBudgetExceeded as exc:
             stats.overflow_sets.append(attrs)
@@ -450,9 +443,10 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     one sweep for all singletons), which hold the posting's z-core. A set
     whose members' z-core is too small to reach eps_min is visited without
     a search: too small for eps_min * sigma_min, it is not extended; too
-    small for eps_min times its own support, it is not recorded, and unless
-    it is closed (it has no frequent join in its class) it is extended on
-    its core. A search that overflows, on the set's view or on a simulation
+    small for eps_min times its own support, it is not recorded and is
+    extended on its core, unless its members were already that small and
+    it is closed (it has no frequent join in its class), which skips it
+    unpeeled. A search that overflows, on the set's view or on a simulation
     sample drawn to score it, drops that set unreported and unextended
     unless fail_fast is set. A set that is not searched cannot overflow, so
     under a budget the exhaustive miner exceeds on such a set, this miner
@@ -460,19 +454,21 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     same records and patterns.
     """
     null = _null_model(g, cfg)
-    gate_delta = cfg.delta_min > 0.0 and null.kind == ANALYTICAL
+    gate_delta = cfg.delta_min > 0.0 and cfg.null_model.kind == ANALYTICAL
 
     def evaluate(attrs, mask, members, stats, closed):
         # The coverage set lies in the members' z-core. A count too small to
         # reach eps_min leaves the set unsearched, unrecorded and unextended.
         # Between eps_min * sigma_min and eps_min times its own support a
         # count is too small for the set's own eps, so the set is never
-        # searched: a closed set is skipped, and an open one is extended on
-        # its core. Only there is the mark asked for. The core asks only if
-        # the members left it unasked, so no set asks twice.
+        # searched and is extended on its core. The mark is asked once,
+        # before the peel, and only when the members fall in that gap: a
+        # closed set is then skipped unpeeled. A closed set whose core
+        # alone falls in the gap is extended on its core and forms no child.
         support = mask.bit_count()
-        unasked = _can_reach_eps_min(len(members), support, cfg)
-        if not _can_reach_eps_min(len(members), cfg.sigma_min, cfg) or (not unasked and closed()):
+        if not _can_reach_eps_min(len(members), cfg.sigma_min, cfg) or (
+            not _can_reach_eps_min(len(members), support, cfg) and closed()
+        ):
             return (), False, None
         core = z_core(g.adjacency, members, cfg.qc_params.z)
         if not _can_reach_eps_min(len(core), cfg.sigma_min, cfg):
@@ -482,8 +478,6 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
             # The core holds every coverage set of the set's supersets, so
             # it restricts their searches and bounds their eps as soundly
             # as the set's own coverage set would.
-            if unasked and closed():
-                return (), False, None
             return tuple(core), prune_extension(core, cfg, floor), None
         view = induced_view(g, core)
         covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)

@@ -5,8 +5,10 @@ size-sigma vertex subset: a Monte-Carlo estimator (mean over r independent
 samples, each peeled to its z-core, the first pass made for all samples of
 a support in one sweep by ``graph.z_survivors`` and the peel finished by
 ``graph.z_core``, as the miner does for attribute sets, and, when the core
-can still hold a quasi-clique, mined with the coverage engine) and an
-analytical upper bound built from the degree distribution.
+can still hold a quasi-clique, mined with the coverage engine; samples
+with the same survivors of that first pass share one peel and one search)
+and an analytical upper bound built from the graph's degree counts
+(``AttributedGraph.degree_counts``).
 
 A vertex needs degree at least z = ceil(gamma_min * (min_size - 1)) inside
 the sample to sit in any quasi-clique, and the chance that a degree-alpha
@@ -22,15 +24,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
-from .graph import (
-    AttributedGraph,
-    DegreeHistogram,
-    degree_distribution,
-    induced_view,
-    z_core,
-    z_survivors,
-)
+from .graph import AttributedGraph, induced_view, z_core, z_survivors
 from .quasiclique import (
     DEFAULT_EXPANSION_BUDGET,
     QuasiCliqueParams,
@@ -102,20 +98,20 @@ def binomial_term(alpha: int, beta: int, rho: float) -> float:
 
 
 def max_eps_exp(
-    hist: DegreeHistogram, sigma: int, params: QuasiCliqueParams, n: int
+    counts: Mapping[int, int], sigma: int, params: QuasiCliqueParams, n: int
 ) -> ExpectedCorrelation:
     """Analytical upper bound: P(a random vertex keeps degree >= z in the sample).
 
-    Sums p(alpha) times the binomial tail from z over all degrees alpha >= z.
-    Non-decreasing in sigma; clamped to [0, 1].
+    ``counts`` maps each degree alpha to its number of vertices among the
+    graph's n. Sums p(alpha) = count / n times the binomial tail from z over
+    all degrees alpha >= z. Non-decreasing in sigma; clamped to [0, 1].
     """
     rho = sample_prob(sigma, n)
     z = params.z
     total = math.fsum(
-        hist.prob(alpha)
-        * math.fsum(binomial_term(alpha, beta, rho) for beta in range(z, alpha + 1))
-        for alpha in range(z, hist.max_degree + 1)
-        if hist.prob(alpha) > 0.0
+        c / n * math.fsum(binomial_term(alpha, beta, rho) for beta in range(z, alpha + 1))
+        for alpha, c in counts.items()
+        if alpha >= z
     )
     return ExpectedCorrelation(value=min(1.0, max(0.0, total)), kind=ANALYTICAL)
 
@@ -147,17 +143,20 @@ def sim_eps_exp(
     first peeled to that core over the graph's adjacency, and a view, which
     shares that adjacency, is built and searched only for the core. All r
     samples of the support are drawn first, and one sweep of
-    ``graph.z_survivors`` makes the peel's first pass for all of them. A
-    sample with fewer than min_size survivors has a core too small for any
-    quasi-clique and scores 0 with no peel and no search; only the others
-    are sorted, for the memo key, and have their survivors peeled by
-    ``graph.z_core``, and the drawn samples are dropped before any search.
-    A core smaller than min_size scores 0 without a search too. Searching
-    the core gives the same coverage and the same expansions as searching
-    the whole sample, since the engine peels every view with the same
-    ``z_core`` first, and a core passes that peel unchanged. Samples are
-    searched in trial order, and the expansions of every sample search,
-    including one that overflows, are added to ``stats``.
+    ``graph.z_survivors`` makes the peel's first pass for all of them, and
+    the drawn samples are dropped before any search. A sample with fewer
+    than min_size survivors has a core too small for any quasi-clique and
+    scores 0 with no peel and no search; the others have their survivors
+    peeled by ``graph.z_core``. A sample's core, and so its score, depends
+    on its sorted survivors alone, so they are the memo key: a sample whose
+    survivors equal an earlier sample's is neither peeled nor searched
+    again. A core smaller than min_size scores 0 without a search too.
+    Searching the core gives the same coverage and the same expansions as
+    searching the whole sample, since the engine peels every view with the
+    same ``z_core`` first, and a core passes that peel unchanged. Samples
+    are searched in trial order, one search per distinct survivor list,
+    and the expansions of every search, including one that overflows, are
+    added to ``stats``.
     The miners ask for a support only to score a set whose eps reaches
     eps_min, so their ``expansions`` count the samples of those supports
     alone.
@@ -176,17 +175,12 @@ def sim_eps_exp(
         for trial in range(cfg.samples)
     ]
     survivors = z_survivors(g.adjacency, samples, z)
-    # Only a sample with min_size survivors can be searched, so only it
-    # needs its sorted members as the memo key.
-    keys = [
-        tuple(sorted(sample)) if len(kept) >= params.min_size else None
-        for sample, kept in zip(samples, survivors)
-    ]
     del samples
     fractions_seen: dict[tuple[int, ...], float] = {}
     values = []
-    for key, kept in zip(keys, survivors):
-        frac = 0.0 if key is None else fractions_seen.get(key)
+    for kept in survivors:
+        key = tuple(kept)
+        frac = 0.0 if len(key) < params.min_size else fractions_seen.get(key)
         if frac is None:
             core = z_core(g.adjacency, kept, z)
             if len(core) < params.min_size:
@@ -226,8 +220,10 @@ class NullModel:
     request for that support raises it again without searching, since the
     same samples would overflow the same budget. The miners call
     ``expected`` only for a set whose eps reaches eps_min, so the supports
-    of the other sets are never simulated. The analytical model's degree
-    histogram is built on its first use, so a simulation never builds it.
+    of the other sets are never simulated. The analytical model reads the
+    graph's ``degree_counts``, counted on first read and kept on the graph,
+    so a simulation never counts them and every model of one graph shares
+    them.
     """
 
     def __init__(
@@ -241,15 +237,10 @@ class NullModel:
         self._g = g
         self._params = params
         self._cfg = cfg
-        self._hist: DegreeHistogram | None = None
         self._budget = budget
         self._cache: dict[int, ExpectedCorrelation] = {}
         # Support -> message of the overflow its simulation raised.
         self._overflowed: dict[int, str] = {}
-
-    @property
-    def kind(self) -> str:
-        return self._cfg.kind
 
     def expected(self, sigma: int, *, stats: SearchStats | None = None) -> ExpectedCorrelation:
         """Expected correlation at support ``sigma``; sample-search
@@ -264,9 +255,7 @@ class NullModel:
             # No sample of a sub-2-vertex graph can reach any degree floor.
             value = ExpectedCorrelation(value=0.0, kind=self._cfg.kind)
         elif self._cfg.kind == ANALYTICAL:
-            if self._hist is None:
-                self._hist = degree_distribution(self._g)
-            value = max_eps_exp(self._hist, sigma, self._params, self._g.vertex_count)
+            value = max_eps_exp(self._g.degree_counts, sigma, self._params, self._g.vertex_count)
         else:
             try:
                 value = sim_eps_exp(

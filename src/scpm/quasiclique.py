@@ -44,19 +44,18 @@ Pruning applied at every node, all of it sound for the above outputs:
   branches on.
 
 An engine's fixed cost follows the work of its searches. Its bitmasks are
-made in C-level passes, its degree-floor and size-cap tables are shared by
-every engine built with the same parameters object, and it is kept on the
-view it was built for (``GraphView.engine``): a later search of that view
-with the same parameters object reuses it, with its expansion counter at 0
-and the new call's budget. A coverage search followed by a top-k search of
-the same view therefore builds one engine and peels once.
+made in C-level passes, its degree-floor and size-cap tables are built for
+its own core size, and it is kept on the view it was built for
+(``GraphView.engine``): a later search of that view with the same
+parameters object reuses it, with its expansion counter at 0 and the new
+call's budget. A coverage search followed by a top-k search of the same
+view therefore builds one engine and peels once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 from .graph import GraphView, z_core
@@ -98,12 +97,6 @@ class QuasiCliqueParams:
     def z(self) -> int:
         """Degree every member of any admissible quasi-clique must reach."""
         return self.degree_floor(self.min_size)
-
-    @cached_property
-    def _tables(self) -> tuple[list[int], list[int]]:
-        """The engine's degree-floor and size-cap tables, shared by every
-        search with these parameters; ``_gamma_tables`` grows them."""
-        return [], []
 
 
 @dataclass(frozen=True)
@@ -151,19 +144,6 @@ def is_gamma_dense(view: GraphView, q, params: QuasiCliqueParams) -> bool:
     )
 
 
-def _gamma_tables(params: QuasiCliqueParams, n: int) -> tuple[list[int], list[int]]:
-    """The tables of ``params``, grown to cover a view of n vertices:
-    floors[s], the degree floor of a size-s set, for every s <= n + 1, and
-    size_cap[d], the largest set a vertex of within-degree d can belong to,
-    for every d <= n."""
-    tables = floors, size_cap = params._tables
-    if len(floors) < n + 2:
-        num, den = params.gamma_min.numerator, params.gamma_min.denominator
-        floors.extend(-(-num * (s - 1) // den) for s in range(len(floors), n + 2))
-        size_cap.extend(d * den // num + 1 for d in range(len(size_cap), n + 1))
-    return tables
-
-
 def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
     """The view on the z-core of the view's members (``graph.z_core``).
 
@@ -207,17 +187,20 @@ class _ViewSearch:
         self.full_mask = (1 << n) - 1
         self.budget = budget
         self.expansions = 0
-        self.floors, self.size_cap = _gamma_tables(params, n)
+        # floors[s]: the degree floor of a size-s set; size_cap[d]: the
+        # largest set a vertex of within-degree d can belong to.
+        num, den = params.gamma_min.numerator, params.gamma_min.denominator
+        self.floors = [-(-num * (s - 1) // den) for s in range(n + 2)]
+        self.size_cap = [d * den // num + 1 for d in range(n + 1)]
         # reach[p] holds every vertex that can share a quasi-clique with p:
         # its neighbours at gamma 1, where every member is adjacent to every
         # other, its distance-2 ball from gamma 1/2 up, built on first read
         # (``_ball``), and every vertex below 1/2. 0 marks a ball not built
         # yet; no entry is 0 once built, since a ball holds its own vertex
         # and every core member has z >= 1 neighbours.
-        gamma = params.gamma_min
-        if gamma.numerator == gamma.denominator:
+        if num == den:
             self.reach = adj
-        elif 2 * gamma.numerator >= gamma.denominator:
+        elif 2 * num >= den:
             self.reach = [0] * n
         else:
             self.reach = [self.full_mask] * n

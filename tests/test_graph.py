@@ -11,7 +11,6 @@ from scpm import (
     GraphFormatError,
     QuasiCliqueParams,
     build_index,
-    degree_distribution,
     induced_view,
     load_graph,
     vertex_prune,
@@ -220,31 +219,23 @@ class TestLoaderMatchesReference:
 class TestDegreeDistribution:
     def test_complete_graph(self):
         lines = [f"{u} {v}" for u in range(5) for v in range(u + 1, 5)]
-        hist = degree_distribution(make_graph(lines))
-        assert hist.counts == {4: 5}
-        assert hist.max_degree == 4
-        assert hist.prob(4) == 1.0
-        assert hist.prob(5) == 0.0
+        assert make_graph(lines).degree_counts == {4: 5}
 
     def test_edgeless_graph(self):
         g = make_graph([], [f"{v}" for v in range(7)])
-        hist = degree_distribution(g)
-        assert hist.counts == {0: 7}
-        assert hist.max_degree == 0
-        assert hist.prob(0) == 1.0
+        assert g.degree_counts == {0: 7}
 
     def test_matches_per_vertex_counting(self):
         rng = random.Random(50)
         lines, attr_guard = random_graph_lines(rng, 50, 0.1)
         g = make_graph(lines, attr_guard)
-        hist = degree_distribution(g)
         direct = {}
         for v in range(g.vertex_count):
             d = len(g.adjacency[v])
             direct[d] = direct.get(d, 0) + 1
-        assert hist.counts == direct
-        assert sum(hist.counts.values()) == g.vertex_count
-        assert abs(sum(hist.probabilities.values()) - 1.0) < 1e-12
+        assert g.degree_counts == direct
+        assert sum(g.degree_counts.values()) == g.vertex_count
+        assert g.degree_counts is g.degree_counts
 
 
 class TestInducedView:

@@ -74,26 +74,31 @@ class TestStructuralCorrelation:
         assert rec.eps == 0.0
         assert rec.delta == 0.0
 
-    def test_restriction_by_parent_coverage_changes_nothing(self):
-        rng = random.Random(808)
-        for _ in range(20):
-            g = random_attributed_graph(rng, 22, 0.3, 4, attr_prob=0.6)
-            index = build_index(g)
-            cfg = reference_config(sigma_min=1, eps_min=0.0)
-            attrs = sorted(index.posting)
-            if len(attrs) < 2:
-                continue
-            a, b = attrs[0], attrs[1]
-            pair = tuple(sorted((a, b)))
-            if not vertex_set(index, pair):
-                continue
-            parent = structural_correlation(g, index, (a,), cfg)
-            other = structural_correlation(g, index, (b,), cfg)
-            unrestricted = structural_correlation(g, index, pair, cfg)
-            restricted = structural_correlation(
-                g, index, pair, cfg, frozenset(parent.covered) & frozenset(other.covered)
-            )
-            assert restricted == unrestricted
+    def test_analytical_calls_share_the_graphs_degree_counts(
+        self, example_graph, example_index, example_ids, monkeypatch
+    ):
+        # Each call builds its own null model, yet all of them read the
+        # degree counts the graph keeps, so no call counts degrees again.
+        import scpm.nullmodel
+
+        seen = []
+        real = scpm.nullmodel.max_eps_exp
+
+        def recording(counts, sigma, params, n):
+            seen.append(counts)
+            return real(counts, sigma, params, n)
+
+        monkeypatch.setattr(scpm.nullmodel, "max_eps_exp", recording)
+        cfg = reference_config()
+        n = example_graph.vertex_count
+        direct = {}
+        for nbrs in example_graph.adjacency:
+            direct[len(nbrs)] = direct.get(len(nbrs), 0) + 1
+        for a in (example_ids.A, example_ids.B, example_ids.C):
+            rec = structural_correlation(example_graph, example_index, (a,), cfg)
+            assert rec.eps_exp == real(direct, rec.support, cfg.qc_params, n)
+        assert len(seen) == 3
+        assert all(counts is example_graph.degree_counts for counts in seen)
 
     def test_rejects_empty_support(self, example_graph, example_index):
         with pytest.raises(ValueError):
@@ -1014,6 +1019,43 @@ class TestClosedSets:
         labels = [label for label, _, _ in asked]
         assert sorted(labels) == ["a", "a|b", "a|b|c", "a|c", "b", "b|c", "c"]
         assert ("a|c", False, True) in asked and ("b|c", False, True) in asked
+
+    def test_mark_is_asked_once_on_the_members(self, monkeypatch):
+        # One tag on a 4-clique with a pendant 6-path: support 10. The
+        # first pass drops the path's far end, leaving 9 members, which
+        # reach eps_min * 10 = 5 at eps_min 0.5, so the set asks no mark
+        # before the peel. Its core, the clique, is 4: in the gap between
+        # eps_min * sigma_min = 2 and 5. The set is closed (it has no
+        # sibling), yet it is extended on its core unasked and forms no
+        # child.
+        import scpm.miner
+
+        asked = []
+
+        class Recording(scpm.miner._Walk):
+            def __init__(self, cfg, null, evaluate):
+                def recorded(attrs, mask, members, stats, closed):
+                    def asking():
+                        asked.append(self.attributes.label(attrs))
+                        return closed()
+
+                    return evaluate(attrs, mask, members, stats, asking)
+
+                super().__init__(cfg, null, recorded)
+
+        clique = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        path = [(v, v + 1) for v in range(3, 9)]
+        g = _graph(clique + path, lambda v: ["tag"], 10)
+        index = build_index(g)
+        cfg = reference_config(sigma_min=4, eps_min=0.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(scpm.miner, "_Walk", Recording)
+            searched = self._searched_cores(patch)
+            result = run_scpm(g, index, cfg)
+        assert asked == []
+        assert searched == []
+        assert result.stats.sets_visited == 1
+        self._assert_matches_naive(g, index, cfg, result)
 
 
 def _eager_walk(seen):

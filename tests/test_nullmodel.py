@@ -9,18 +9,20 @@ from scpm import (
     ANALYTICAL,
     SIMULATION,
     ExpectedCorrelation,
+    MinerConfig,
     NullModel,
     NullModelConfig,
     QuasiCliqueParams,
     SearchBudgetExceeded,
     SearchStats,
     binomial_term,
+    build_index,
     covered_vertices,
-    degree_distribution,
     induced_view,
     load_graph,
     max_eps_exp,
     normalized_delta,
+    run_scpm,
     sample_prob,
     sim_eps_exp,
 )
@@ -104,37 +106,37 @@ class TestMaxEpsExp:
     def test_sigma_equals_n(self):
         rng = random.Random(5)
         g = random_attributed_graph(rng, 30, 0.2, 2)
-        hist = degree_distribution(g)
-        got = max_eps_exp(hist, 30, P06_4, 30)
-        frac_high_degree = sum(c for d, c in hist.counts.items() if d >= P06_4.z) / 30
+        counts = g.degree_counts
+        got = max_eps_exp(counts, 30, P06_4, 30)
+        frac_high_degree = sum(c for d, c in counts.items() if d >= P06_4.z) / 30
         assert got.value == pytest.approx(frac_high_degree, abs=1e-12)
 
     def test_sigma_one_is_zero(self):
         rng = random.Random(6)
         g = random_attributed_graph(rng, 20, 0.2, 2)
-        hist = degree_distribution(g)
-        assert max_eps_exp(hist, 1, P06_4, 20).value == 0.0
+        counts = g.degree_counts
+        assert max_eps_exp(counts, 1, P06_4, 20).value == 0.0
 
     def test_matches_exact_rational_oracle(self):
         rng = random.Random(99)
         for _ in range(20):
             n = rng.randint(10, 60)
             g = random_attributed_graph(rng, n, rng.choice([0.1, 0.3]), 2)
-            hist = degree_distribution(g)
+            counts = g.degree_counts
             sigma = rng.randint(1, n)
             params = QuasiCliqueParams(
                 rng.choice([Fraction(1, 2), Fraction(3, 5)]), rng.choice([3, 4, 5])
             )
-            expected = exact_expected_bound(hist.counts, n, sigma, params.gamma_min, params.min_size)
-            got = max_eps_exp(hist, sigma, params, n)
+            expected = exact_expected_bound(counts, n, sigma, params.gamma_min, params.min_size)
+            got = max_eps_exp(counts, sigma, params, n)
             assert got.value == pytest.approx(float(expected), abs=1e-10)
             assert 0.0 <= got.value <= 1.0
 
     def test_monotone_in_sigma(self):
         rng = random.Random(400)
         g = random_attributed_graph(rng, 40, 0.15, 2)
-        hist = degree_distribution(g)
-        values = [max_eps_exp(hist, s, P06_4, 40).value for s in range(1, 41)]
+        counts = g.degree_counts
+        values = [max_eps_exp(counts, s, P06_4, 40).value for s in range(1, 41)]
         for a, b in zip(values, values[1:]):
             assert a <= b + 1e-15
 
@@ -172,11 +174,11 @@ class TestSimEpsExp:
     def test_mean_below_analytical_bound(self):
         rng = random.Random(12)
         g = random_attributed_graph(rng, 30, 0.2, 2)
-        hist = degree_distribution(g)
+        counts = g.degree_counts
         cfg = NullModelConfig(kind=SIMULATION, samples=200, seed=5)
         for sigma in (5, 10, 20, 30):
             sim = sim_eps_exp(g, sigma, P06_4, cfg)
-            bound = max_eps_exp(hist, sigma, P06_4, 30)
+            bound = max_eps_exp(counts, sigma, P06_4, 30)
             slack = 3 * sim.std_dev / math.sqrt(cfg.samples)
             assert sim.value <= bound.value + slack
 
@@ -265,6 +267,35 @@ class TestSimEpsExp:
         assert got.value > 0.0
         assert calls == 1
 
+    def test_samples_with_equal_survivors_are_searched_once(self, monkeypatch):
+        # A 6-clique and 4 isolated vertices at sigma = n - 1: a sample
+        # missing an isolated vertex keeps the whole clique after the first
+        # pass, so the samples missing any of the 4 share one survivor list
+        # and one search.
+        clique = [f"{u} {v}" for u in range(6) for v in range(u + 1, 6)]
+        g = load_graph(iter(clique), iter(f"{v}" for v in range(10)))
+        cfg = NullModelConfig(kind=SIMULATION, samples=30, seed=0)
+        sigma = g.vertex_count - 1
+        samples = {
+            tuple(sorted(random.Random(nm._stream_seed(cfg.seed, sigma, t)).sample(range(10), sigma)))
+            for t in range(cfg.samples)
+        }
+        survivor_lists = {tuple(v for v in sample if v < 6) for sample in samples}
+        assert len(survivor_lists) < len(samples)
+        searched = []
+
+        def recording(view, params, **kwargs):
+            searched.append(view.members)
+            return covered_vertices(view, params, **kwargs)
+
+        monkeypatch.setattr(nm, "covered_vertices", recording)
+        got = sim_eps_exp(g, sigma, P06_4, cfg)
+        assert sorted(searched) == sorted(survivor_lists)
+        want = reference_sim_eps_exp(
+            g, sigma, P06_4, cfg, budget=nm.DEFAULT_EXPANSION_BUDGET, stats=SearchStats()
+        )
+        assert (got.value, got.std_dev) == want
+
     def test_requires_simulation_config(self):
         rng = random.Random(13)
         g = random_attributed_graph(rng, 10, 0.3, 2)
@@ -311,25 +342,20 @@ class TestNullModelProvider:
         model = NullModel(g, P06_4, NullModelConfig(kind=ANALYTICAL))
         assert model.expected(1).value == 0.0
 
-    def test_degree_histogram_only_for_the_analytical_model(self, monkeypatch):
-        # Only max_eps_exp reads the histogram, so a simulation never builds
-        # it and the analytical model builds it once, at its first support.
-        calls = 0
-        real = nm.degree_distribution
-
-        def counting(g):
-            nonlocal calls
-            calls += 1
-            return real(g)
-
-        monkeypatch.setattr(nm, "degree_distribution", counting)
+    def test_degree_histogram_only_for_the_analytical_model(self):
+        # Only max_eps_exp reads the degree counts, so a simulation run
+        # never counts them and an analytical run keeps them on the graph.
         g = random_attributed_graph(random.Random(15), 20, 0.25, 2)
-        sim = NullModel(g, P06_4, NullModelConfig(kind=SIMULATION, samples=3))
+        index = build_index(g)
+        for kind in (SIMULATION, ANALYTICAL):
+            cfg = MinerConfig(
+                qc_params=P06_4,
+                sigma_min=2,
+                null_model=NullModelConfig(kind=kind, samples=3),
+            )
+            result = run_scpm(g, index, cfg)
+            assert result.records
+            assert ("degree_counts" in g.__dict__) == (kind == ANALYTICAL)
+        model = NullModel(g, P06_4, NullModelConfig(kind=ANALYTICAL))
         for sigma in (5, 9, 14):
-            sim.expected(sigma)
-        assert calls == 0
-        analytical = NullModel(g, P06_4, NullModelConfig(kind=ANALYTICAL))
-        assert calls == 0
-        for sigma in (5, 9, 14):
-            assert analytical.expected(sigma) == max_eps_exp(real(g), sigma, P06_4, 20)
-        assert calls == 1
+            assert model.expected(sigma) == max_eps_exp(g.degree_counts, sigma, P06_4, 20)
