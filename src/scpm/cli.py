@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import __version__
 from .graph import AttributedGraph, GraphFormatError, GraphView, induced_view, load_graph
@@ -300,10 +301,12 @@ def _dot_quoted(value) -> str:
 def export_pattern_dot(
     pattern: PatternRecord,
     view: GraphView,
-    labels: dict[int, object] | None = None,
+    labels: Sequence[object] | Mapping[int, object] | None = None,
     title: str | None = None,
 ) -> str:
-    """DOT text with pattern members highlighted and the rest of the view dimmed."""
+    """DOT text with pattern members highlighted and the rest of the view
+    dimmed. A node is named ``labels[v]`` when labels are given (such as
+    the graph's ``external_ids``), else by its dense id."""
 
     def name(v):
         return _dot_quoted(labels[v] if labels is not None else v)
@@ -377,12 +380,11 @@ def _write_dot_exports(
 ):
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    labels = {v: g.original_id(v) for v in range(g.vertex_count)}
     for i, pat in enumerate(result.patterns):
         members = vertex_set(index, pat.attribute_set)
         view = induced_view(g, members)
         title = g.attribute_dictionary.label(pat.attribute_set)
-        text = export_pattern_dot(pat, view, labels=labels, title=title)
+        text = export_pattern_dot(pat, view, labels=g.external_ids, title=title)
         (directory / f"pattern_{i:04d}.dot").write_text(text)
 
 

@@ -6,7 +6,7 @@ support (ties by id) and each entry unions with its earlier siblings to
 form the next class. The miners differ only in the policy that searches
 one attribute set, finds its patterns and decides whether to extend it.
 
-Every vertex set of the walk is an int bitset (bit v set for vertex v). A
+Every posting of the walk is an int bitset (bit v set for vertex v). A
 frequent singleton's posting list becomes its bitset before its class is
 visited; below the singletons no posting list is merged. A candidate's
 posting is the AND of its parents' bitsets and its support the bit count of
@@ -15,9 +15,9 @@ set is formed. A candidate with no join reaching sigma_min in its class is
 closed: it has no descendant in the walk. No pass marks a class before it
 is visited; a policy asks for the mark, which scans the class, and no join
 is kept. A visited set's coverage set (or, if the set was not searched,
-its core) is kept as a bitset too, and the members a child's search runs
-on are decoded from its posting ANDed with both parents' bitsets: a few
-vertices, not the whole posting.
+its core) is kept as the vertex set it is, and the members a child's
+search runs on are the intersection of both parents' sets: a few
+vertices, never a decode of the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
 seven prunings, the last of which the exhaustive one shares:
@@ -79,7 +79,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 from .graph import AttributedGraph, induced_view, z_core, z_survivors
 from .index import AttributeIndex, frequent_attributes, vertex_set
@@ -187,17 +187,20 @@ class MiningResult:
 
 @dataclass
 class _Entry:
-    """Frontier entry: attribute set, its support, and as int bitsets its
-    posting and its coverage set, or its core if it was not searched."""
+    """Frontier entry: attribute set, its support, its posting as an int
+    bitset, and its coverage set, or its core if it was not searched, as a
+    vertex set."""
 
     attrs: tuple[int, ...]
     support: int
     mask: int
-    covered: int
+    covered: frozenset[int]
 
 
 def _bitset(vertices: tuple[int, ...]) -> int:
-    """The int with bit v set for every vertex v of a sorted vertex tuple."""
+    """The int with bit v set for every vertex v of a sorted vertex tuple.
+    The walk makes one per frequent singleton's posting; every deeper
+    posting is an AND of these."""
     if not vertices:
         return 0
     buf = bytearray(vertices[-1] // 8 + 1)
@@ -250,7 +253,10 @@ def structural_correlation(
     is scored whatever its eps; the miners consult the null model only for
     a set whose eps reaches eps_min. The analytical model reads the graph's
     kept ``degree_counts``, so repeated calls on one graph count degrees
-    once.
+    once. Each call builds its own ``NullModel``, so under the simulation
+    model every call draws, peels and searches its support's samples
+    again; to score many sets, use ``run_scpm``, whose one null model
+    memoizes eps_exp by support.
     """
     s = tuple(sorted(set(s)))
     posting = vertex_set(index, s)
@@ -262,7 +268,7 @@ def structural_correlation(
 
 
 def prune_extension(
-    covered: tuple[int, ...],
+    covered: Sequence[int],
     cfg: MinerConfig,
     eps_exp_at_sigma_min: ExpectedCorrelation | None = None,
 ) -> bool:
@@ -318,8 +324,8 @@ class _Walk:
     set, whether to extend it, and a callable that yields its patterns.
     ``mask`` is the set's posting as a bitset and ``members`` the sorted
     vertices its search runs on: for a singleton its whole posting, or its
-    entry in the ``first_pass`` that ``run`` was given; else the posting
-    ANDed with both parents' returned bitsets. A policy may skip the
+    entry in the ``first_pass`` that ``run`` was given; else the
+    intersection of the sets both parents returned. A policy may skip the
     search of a set whose own eps cannot reach eps_min. If no superset can
     reach it either, or the set is closed, it returns an empty coverage set,
     False and None; otherwise it returns, in place of the coverage set, a
@@ -339,7 +345,7 @@ class _Walk:
         self,
         cfg: MinerConfig,
         null: NullModel,
-        evaluate: Callable[..., tuple[tuple[int, ...], bool, Callable[[], list[QuasiClique]] | None]],
+        evaluate: Callable[..., tuple[Sequence[int], bool, Callable[[], list[QuasiClique]] | None]],
     ):
         self.cfg = cfg
         self.null = null
@@ -371,8 +377,8 @@ class _Walk:
         """Visit one class in order, then union each frontier entry with its
         earlier siblings and walk the children whose posting AND reaches
         sigma_min as the next class. A candidate is (attrs, support, mask,
-        members); only a child forms its attribute set and decodes the
-        members its search runs on."""
+        members); only a child forms its attribute set and intersects its
+        parents' sets for the members its search runs on."""
         if not candidates:
             return
         sigma_min = self.cfg.sigma_min
@@ -394,7 +400,7 @@ class _Walk:
         for i, (attrs, support, mask, members) in enumerate(candidates):
             covered = self._visit(attrs, support, mask, members, partial(closed, i))
             if covered is not None and not proved[i]:
-                frontier.append(_Entry(attrs, support, mask, _bitset(covered)))
+                frontier.append(_Entry(attrs, support, mask, frozenset(covered)))
         frontier.sort(key=lambda e: (e.support, e.attrs))
         for i, base in enumerate(frontier):
             children = []
@@ -403,11 +409,12 @@ class _Walk:
                 support = mask.bit_count()
                 if support >= sigma_min:
                     attrs = _union_attrs(base.attrs, other.attrs)
-                    members = tuple(_bits(mask & base.covered & other.covered))
+                    # Each parent's set lies in its posting, so within mask.
+                    members = tuple(sorted(base.covered & other.covered))
                     children.append((attrs, support, mask, members))
             self._walk_class(children)
 
-    def _visit(self, attrs, support, mask, members, closed) -> tuple[int, ...] | None:
+    def _visit(self, attrs, support, mask, members, closed) -> Sequence[int] | None:
         """Search one set and score it if its eps reaches eps_min; return its
         coverage set if it is to be extended, else None."""
         cfg = self.cfg
@@ -478,7 +485,7 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
             # The core holds every coverage set of the set's supersets, so
             # it restricts their searches and bounds their eps as soundly
             # as the set's own coverage set would.
-            return tuple(core), prune_extension(core, cfg, floor), None
+            return core, prune_extension(core, cfg, floor), None
         view = induced_view(g, core)
         covered = covered_vertices(view, cfg.qc_params, budget=cfg.expansion_budget, stats=stats)
 

@@ -470,6 +470,9 @@ class TestDotExport:
         dots = sorted((tmp_path / "dots").glob("*.dot"))
         assert len(dots) == 7
         assert dots[0].read_text().startswith("graph pattern {")
+        # Nodes carry the file's ids (1-11), not the dense ids (0-10).
+        text = "".join(d.read_text() for d in dots)
+        assert '"11"' in text and '"0"' not in text
 
     def test_cli_export_builds_index_once(self, tmp_path, example_paths, monkeypatch):
         import scpm.cli

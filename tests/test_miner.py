@@ -594,8 +594,8 @@ class TestSupportGate:
 class TestMembersFromMasks:
     def test_child_members_are_posting_within_both_parents_coverage(self, monkeypatch):
         # Open thresholds extend every set, so the lattice reaches depth 3
-        # and beyond; each child's search members, decoded from bitsets,
-        # must be its posting list filtered by both parents' coverage sets.
+        # and beyond; each child's search members, the intersection of both
+        # parents' coverage sets, must be its posting list filtered by them.
         # A singleton's members are its posting's first-pass survivors,
         # whose z-core is the posting's.
         import scpm.miner
@@ -628,6 +628,38 @@ class TestMembersFromMasks:
                 restricted += 0 < len(members) < len(posting)
         assert deepest >= 3
         assert restricted > 0
+
+    def test_children_are_restricted_without_decoding_bitsets(self, monkeypatch):
+        # The pruned walk intersects its parents' coverage sets as vertex
+        # sets: it decodes no posting and makes a bitset of the singletons'
+        # postings only. Its output still equals the exhaustive miner's.
+        import scpm.miner
+
+        def no_decode(mask):
+            raise AssertionError("run_scpm decoded a bitset")
+
+        rng = random.Random(1010)
+        deep = 0
+        for _ in range(12):
+            g = random_attributed_graph(rng, 20, 0.5, 5, attr_prob=0.6)
+            index = build_index(g)
+            cfg = reference_config(sigma_min=2, eps_min=0.0, k=1)
+            naive = run_naive(g, index, cfg)
+            bitsets = []
+
+            def counting(vertices, bitset=scpm.miner._bitset):
+                bitsets.append(vertices)
+                return bitset(vertices)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(scpm.miner, "_bits", no_decode)
+                patch.setattr(scpm.miner, "_bitset", counting)
+                pruned = run_scpm(g, index, cfg)
+            assert len(bitsets) == len(frequent_attributes(index, cfg.sigma_min))
+            assert pruned.records == naive.records
+            assert pruned.patterns == naive.patterns
+            deep += sum(len(r.attribute_set) >= 2 for r in pruned.records)
+        assert deep > 0
 
 
 class TestPeelBeforeView:
