@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -380,12 +381,14 @@ def _write_dot_exports(
 ):
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, pat in enumerate(result.patterns):
-        members = vertex_set(index, pat.attribute_set)
-        view = induced_view(g, members)
-        title = g.attribute_dictionary.label(pat.attribute_set)
-        text = export_pattern_dot(pat, view, labels=g.external_ids, title=title)
-        (directory / f"pattern_{i:04d}.dot").write_text(text)
+    # A set's patterns are consecutive, so each set builds one view.
+    numbered = enumerate(result.patterns)
+    for attrs, group in groupby(numbered, key=lambda item: item[1].attribute_set):
+        view = induced_view(g, vertex_set(index, attrs))
+        title = g.attribute_dictionary.label(attrs)
+        for i, pat in group:
+            text = export_pattern_dot(pat, view, labels=g.external_ids, title=title)
+            (directory / f"pattern_{i:04d}.dot").write_text(text)
 
 
 def _decode_error(*paths: str) -> GraphFormatError:

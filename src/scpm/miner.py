@@ -50,7 +50,7 @@ seven prunings, the last of which the exhaustive one shares:
   is closed (has no superset in the walk) and, if so, is skipped unpeeled;
   a closed set that is extended forms no child,
 * an attribute set is extended only while covered_count / sigma_min >=
-  eps_min and, under the analytical null model, normalized_delta(
+  eps_min and, under the analytical null model, delta_ratio(
   covered_count / sigma_min, eps_exp(sigma_min)) >= delta_min; no superset
   can recover from either once violated,
 * coverage-set computation walks exhaustively from each still-uncovered
@@ -90,6 +90,7 @@ from .nullmodel import (
     ExpectedCorrelation,
     NullModel,
     NullModelConfig,
+    delta_ratio,
     normalized_delta,
 )
 from .quasiclique import (
@@ -217,11 +218,12 @@ def _can_reach_eps_min(count: int, divisor: int, cfg: MinerConfig) -> bool:
     """Whether a coverage set of at most ``count`` vertices can give eps >=
     eps_min to a set or its supersets, whose eps is at most count /
     ``divisor``: sigma_min for the supersets, the set's own support for
-    the set itself. The test divides and compares as eps is computed
-    (``_Walk._visit``, prune_extension's first test), and correctly rounded
-    division is monotone, so a False here means eps falls below eps_min:
-    for sigma_min, prune_extension would return False; for the own
-    support, the set's record is not scored."""
+    the set itself. This is the miners' one eps comparison, made on the
+    division eps is computed with: ``_Walk._visit`` scores a record only
+    when it holds, ``prune_extension`` tests its first bound with it, and
+    ``run_scpm`` tests a set's members and core before any search.
+    Correctly rounded division is monotone, so a False on a count that
+    bounds the coverage set means eps falls below eps_min."""
     return count / divisor >= cfg.eps_min
 
 
@@ -277,28 +279,22 @@ def prune_extension(
 
     A superset with support s >= sigma_min covers at most covered_count of
     this set's vertices, so its eps is at most covered_count / sigma_min.
-    Both tests divide exactly as eps is computed and compare as
-    ``_Walk._visit`` tests a record; correctly rounded division is
-    monotone, so no superset that would qualify is cut off:
+    Both tests are the ones a record is tested with, on that bound;
+    correctly rounded division is monotone, so no superset that would
+    qualify is cut off:
 
-    * covered_count / sigma_min >= eps_min, and
-    * when ``eps_exp_at_sigma_min`` is given, normalized delta of
-      covered_count / sigma_min against it >= delta_min. That bound holds
+    * covered_count / sigma_min >= eps_min (``_can_reach_eps_min``), and
+    * when ``eps_exp_at_sigma_min`` is given, the delta of covered_count /
+      sigma_min against it (``delta_ratio``) >= delta_min. That bound holds
       only if eps_exp does not decrease with support, which is true of the
       analytical model and not of the simulation; pass None to gate on eps
       alone.
     """
-    bound = len(covered) / cfg.sigma_min
-    if bound < cfg.eps_min:
+    if not _can_reach_eps_min(len(covered), cfg.sigma_min, cfg):
         return False
-    floor = eps_exp_at_sigma_min
-    if floor is None:
+    if eps_exp_at_sigma_min is None:
         return True
-    if floor.value == 0.0:
-        delta = math.inf if bound > 0.0 else 0.0
-    else:
-        delta = bound / floor.value
-    return delta >= cfg.delta_min
+    return delta_ratio(len(covered) / cfg.sigma_min, eps_exp_at_sigma_min) >= cfg.delta_min
 
 
 def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -422,7 +418,7 @@ class _Walk:
         cliques = None
         try:
             covered, extend, patterns = self.evaluate(attrs, mask, members, stats, closed)
-            if len(covered) / support >= cfg.eps_min:
+            if _can_reach_eps_min(len(covered), support, cfg):
                 rec = _score(attrs, support, covered, self.null, stats)
                 if rec.delta >= cfg.delta_min:
                     cliques = patterns()

@@ -201,13 +201,22 @@ def sim_eps_exp(
     return ExpectedCorrelation(value=mean, kind=SIMULATION, std_dev=std)
 
 
-def normalized_delta(eps: float, eps_exp: ExpectedCorrelation) -> float:
-    """eps / eps_exp, with 0/0 defined as 0 and positive/0 as +infinity."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
+def delta_ratio(eps: float, eps_exp: ExpectedCorrelation) -> float:
+    """eps / eps_exp, with 0/0 defined as 0 and positive/0 as +infinity.
+
+    ``eps`` is not range-checked: the miner's extension gate passes a bound
+    on its supersets' eps, which may exceed 1.
+    """
     if eps_exp.value == 0.0:
         return math.inf if eps > 0.0 else 0.0
     return eps / eps_exp.value
+
+
+def normalized_delta(eps: float, eps_exp: ExpectedCorrelation) -> float:
+    """``delta_ratio`` of an eps in [0, 1]."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    return delta_ratio(eps, eps_exp)
 
 
 class NullModel:

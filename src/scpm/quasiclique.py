@@ -15,10 +15,12 @@ vertex each, taken in some branching order, and drop the extensions
 branched on before them, so they partition the subtree. Every walk is depth-first, in pre-order, on a list stack, and
 all of them share one child generator. There are two:
 
-* the maximal walk, in canonical order, which keeps a subset-free pool of
-  the sets it finds: full maximal enumeration (the exhaustive baseline)
-  without a size floor, and top-k extraction (size desc, density desc,
-  lexicographic asc) with a dynamic size floor raised as the pool fills;
+* the maximal walk, in canonical order, which offers every admissible set
+  it meets to a subset-free pool; subset-freeness alone leaves the maximal
+  family (proved at ``_ViewSearch.maximal``): full maximal enumeration
+  (the exhaustive baseline) without a size floor, and top-k extraction
+  (size desc, density desc, lexicographic asc) with a dynamic size floor
+  raised as the pool fills;
 * coverage-set computation (which vertices lie in any quasi-clique): one
   exhaustive walk per still-uncovered root, explored greedy-first
   (densest extension first) and stopped at the first admissible set.
@@ -190,7 +192,7 @@ class _ViewSearch:
         # floors[s]: the degree floor of a size-s set; size_cap[d]: the
         # largest set a vertex of within-degree d can belong to.
         num, den = params.gamma_min.numerator, params.gamma_min.denominator
-        self.floors = [-(-num * (s - 1) // den) for s in range(n + 2)]
+        self.floors = list(map(params.degree_floor, range(n + 2)))
         self.size_cap = [d * den // num + 1 for d in range(n + 1)]
         # reach[p] holds every vertex that can share a quasi-clique with p:
         # its neighbours at gamma 1, where every member is adjacent to every
@@ -225,12 +227,6 @@ class _ViewSearch:
             if (adj[low.bit_length() - 1] & mask).bit_count() < need:
                 return False
             m ^= low
-        return True
-
-    def _locally_maximal(self, mask: int, size: int) -> bool:
-        for p in _bits(self.full_mask & ~mask):
-            if self._is_dense(mask | (1 << p), size + 1):
-                return False
         return True
 
     def _refine(self, chosen: int, cand: int) -> tuple[int, int, int] | None:
@@ -297,22 +293,48 @@ class _ViewSearch:
         """Masks of the maximal quasi-cliques, or with ``k`` a pool whose
         first k under the reporting order are the first k of them.
 
-        The pool is a subset-free antichain. With ``k`` set, a size floor
-        equal to the k-th largest pooled size prunes every node whose size
-        upper bound falls below it; with ``k`` None the floor stays at
-        min_size, which ``_refine`` already enforces. The floor is sound:
+        A node whose chosen | extensions is dense offers that union and has
+        no children; any other node offers its chosen set if that is dense
+        at size >= min_size, and pushes its children. ``_antichain_insert``
+        drops an offered set that a pooled set contains and otherwise pools
+        it in place of the pooled sets it contains, so the pool is a
+        subset-free antichain of admissible sets, and a set that has a
+        pooled superset keeps one. With ``k`` set, a size floor equal to the
+        k-th largest pooled size prunes every node whose size upper bound
+        falls below it; with ``k`` None the floor stays at min_size, which
+        ``_refine`` already enforces.
 
-        1. In this pre-order walk every superset of a pooled set is found
-           inside the subtree of the node that found it: a later sibling's
-           extensions exclude the branch vertex.
-        2. The pool is an antichain, so at most one pooled set lies on any
-           root path (a node that is expanded pooled its own chosen set, and
-           every set found below it contains that set).
-        3. So an insert removes at most one entry, a subset of the set it
-           adds: the pool never shrinks, and the floor never falls.
-        4. A node pruned at ``upper < floor`` therefore holds only sets
-           strictly smaller than the final k-th size, and any pooled set it
-           would have replaced is smaller still.
+        1. Every admissible set D is offered, or lies in an offered union,
+           unless a node on its root path is pruned at ``upper < floor``:
+           ``_refine`` and the reach masks drop no member of D (each meets
+           the floor of |D| inside any union holding D, and from gamma 1/2
+           up lies within distance 2 of every other member), and each node
+           on the path has ``upper >= |D|``. From then on D has a pooled
+           superset.
+        2. With ``k`` None nothing is pruned at the floor, so every maximal
+           set has a pooled superset, which is admissible and so is that
+           set itself; a pooled set inside a maximal one would break the
+           antichain. The pool is the maximal family.
+        3. The floor never falls. In this pre-order walk in canonical order
+           a set offered after a node's subtree is done lies below a later
+           sibling of that node or of one of its ancestors, whose extensions
+           exclude the branch vertex of the node it follows, a member of
+           the first node's chosen set. A pooled set inside a later offered
+           set was therefore offered at an ancestor of the later node, as
+           its chosen set (a node that offers its union has no subtree).
+           Chosen sets on one root path are nested and the pool is an
+           antichain, so an insert removes at most one pooled set, smaller
+           than the set it adds: the pool never shrinks and its k-th
+           largest size only rises.
+        4. With ``k`` set, let F be the final k-th largest pooled size. If
+           the pool ends with fewer than k sets the floor never left
+           min_size and 2 applies. Otherwise the floor stays at most F (3),
+           so no node on the path of an admissible set of size >= F is
+           pruned, and by 1 every maximal set of size >= F is pooled. A
+           non-maximal pooled set lies below F, since its larger maximal
+           superset would be pooled beside it. The pool's first k sets in
+           reporting order all have size >= F, so they are maximal, and no
+           maximal set ranked before them is missing.
         """
         if self.n < self.min_size:
             return []
@@ -333,13 +355,7 @@ class _ViewSearch:
             if least >= floors[union.bit_count()]:
                 found = union
             else:
-                csize = chosen.bit_count()
-                locally_maximal = (
-                    csize >= self.min_size
-                    and self._is_dense(chosen, csize)
-                    and self._locally_maximal(chosen, csize)
-                )
-                found = chosen if locally_maximal else 0
+                found = chosen if self._is_dense(chosen, chosen.bit_count()) else 0
                 # Reversed canonical order: highest position first.
                 last_first = []
                 m = cand

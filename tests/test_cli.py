@@ -478,15 +478,23 @@ class TestDotExport:
         import scpm.cli
 
         calls = []
+        views = []
 
         def counting(g):
             calls.append(g)
             return build_index(g)
 
+        def counting_view(g, members):
+            views.append(members)
+            return induced_view(g, members)
+
         monkeypatch.setattr(scpm.cli, "build_index", counting)
+        monkeypatch.setattr(scpm.cli, "induced_view", counting_view)
         assert run_cli(tmp_path, example_paths, "--export-dot", str(tmp_path / "dots")) == 0
         assert len(calls) == 1
         assert len(list((tmp_path / "dots").glob("*.dot"))) == 7
+        # One view per attribute set (A, B and A|B), not one per pattern.
+        assert len(views) == 3
 
 
 def test_sweep_with_invalid_value_is_usage_error(tmp_path, example_paths):

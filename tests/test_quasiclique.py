@@ -309,6 +309,19 @@ class TestTopK:
             full = enumerate_maximal(view, params)
             assert top_k_patterns(view, params, k) == full[:k]
 
+    @pytest.mark.parametrize("gamma", [Fraction(3, 4), Fraction(4, 5), Fraction(1)])
+    def test_dense_views_above_two_thirds(self, gamma):
+        # Dense views above gamma 2/3, where many nodes pool a dense chosen
+        # set that a superset found below them later replaces.
+        rng = random.Random(2008 + gamma.numerator)
+        for trial in range(8):
+            view = random_view(rng, rng.randint(12, 14), rng.choice([0.7, 0.8]))
+            min_size = rng.choice([4, 5])
+            params = QuasiCliqueParams(gamma, min_size)
+            expected = brute_maximal(view, gamma, min_size)
+            for k in (1, 3, 5, None):
+                assert as_pairs(top_k_patterns(view, params, k)) == expected[:k]
+
     def test_pool_never_shrinks(self, monkeypatch):
         # The size floor is sound only because an insert into the top-k
         # pool removes at most one pooled set, so the pool never shrinks

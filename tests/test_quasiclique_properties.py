@@ -9,7 +9,15 @@ from scpm import QuasiCliqueParams, covered_vertices, induced_view, load_graph, 
 
 from oracles import as_pairs, brute_covered, brute_maximal
 
-GAMMAS = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(1)]
+GAMMAS = [
+    Fraction(1, 3),
+    Fraction(1, 2),
+    Fraction(3, 5),
+    Fraction(2, 3),
+    Fraction(3, 4),
+    Fraction(4, 5),
+    Fraction(1),
+]
 
 
 @st.composite
