@@ -2,7 +2,9 @@
 
 Outputs are two TSV files (correlation records and patterns), an optional
 directory of DOT exports, and a JSON manifest capturing everything needed
-to reproduce the run byte-for-byte.
+to reproduce the run byte-for-byte. ``records_text`` and ``patterns_text``
+own the TSV format; there is no reader: a TSV's rows are its tab-split data
+lines after the ``#`` header lines.
 
 Every flag is declared once, in ``build_parser``: the manifest records the
 parsed namespace, ``manifest_to_argv`` rebuilds the argv from the parser's
@@ -22,7 +24,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -238,60 +239,6 @@ def patterns_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
         return f"{label(pat.attribute_set)}\t{q.size}\t{float(q.density):.2f}\t{vertices}"
 
     return _tsv_text("patterns", PATTERNS_HEADER, row, blocks, manifest_name)
-
-
-@dataclass(frozen=True)
-class RecordRow:
-    attribute_set: tuple[str, ...]
-    support: int
-    eps: float
-    eps_exp: float
-    delta: float
-    covered_count: int
-
-
-@dataclass(frozen=True)
-class PatternRow:
-    attribute_set: tuple[str, ...]
-    size: int
-    density: float
-    vertices: tuple[int, ...]
-
-
-def parse_records(text: str) -> list[RecordRow]:
-    rows = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        attrs, support, eps, eps_exp, delta, covered = line.split("\t")
-        rows.append(
-            RecordRow(
-                attribute_set=tuple(attrs.split("|")),
-                support=int(support),
-                eps=float(eps),
-                eps_exp=float(eps_exp),
-                delta=math.inf if delta == "inf" else float(delta),
-                covered_count=int(covered),
-            )
-        )
-    return rows
-
-
-def parse_patterns(text: str) -> list[PatternRow]:
-    rows = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        attrs, size, density, vertices = line.split("\t")
-        rows.append(
-            PatternRow(
-                attribute_set=tuple(attrs.split("|")),
-                size=int(size),
-                density=float(density),
-                vertices=tuple(int(v) for v in vertices.split(",")),
-            )
-        )
-    return rows
 
 
 def _dot_quoted(value) -> str:

@@ -2,32 +2,28 @@
 
 An attribute set is a strictly sorted tuple of dense attribute ids; its
 posting list is the sorted tuple of vertices carrying every attribute in
-the set, so support is just the posting-list length. The miner's lattice
-walk ANDs int bitsets of these postings instead; ``vertex_set`` (smallest
-posting first) and ``intersect_sorted`` are plain set intersections for the
-DOT export and library callers.
+the set, so support is just the posting-list length. The index is the
+plain dict from each attribute id to its posting (``AttributeIndex``).
+The miner's lattice walk ANDs int bitsets of these postings instead;
+``vertex_set`` (smallest posting first) and ``intersect_sorted`` are plain
+set intersections for the DOT export and library callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import AttributedGraph
 
 AttributeSet = tuple[int, ...]
 PostingList = tuple[int, ...]
-
-
-@dataclass
-class AttributeIndex:
-    """Map from each attribute id to the sorted vertices that carry it."""
-
-    posting: dict[int, PostingList]
+# Map from each attribute id to the sorted vertices that carry it.
+AttributeIndex = dict[int, PostingList]
 
 
 def build_index(g: AttributedGraph) -> AttributeIndex:
-    """Invert the per-vertex attribute sets into sorted posting lists.
+    """Invert the per-vertex attribute sets into the dict of sorted posting
+    lists, keyed by attribute id.
 
     Vertices are scanned in ascending order, so each attribute's list
     arrives sorted; attributes keep the order of their first carrier. An
@@ -48,7 +44,7 @@ def build_index(g: AttributedGraph) -> AttributeIndex:
                 posting[a] = [v]
     for a, vs in posting.items():
         posting[a] = tuple(vs)
-    return AttributeIndex(posting=posting)
+    return posting
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> PostingList:
@@ -61,7 +57,7 @@ def vertex_set(index: AttributeIndex, s: Iterable[int]) -> PostingList:
 
     Unknown attribute ids yield an empty posting list; an empty ``s`` raises.
     """
-    lists = sorted((index.posting.get(a, ()) for a in set(s)), key=len)
+    lists = sorted((index.get(a, ()) for a in set(s)), key=len)
     if not lists:
         raise ValueError("attribute set must be non-empty")
     return tuple(sorted(set(lists[0]).intersection(*lists[1:])))
@@ -73,6 +69,6 @@ def frequent_attributes(index: AttributeIndex, sigma_min: int) -> list[tuple[Att
         raise ValueError("sigma_min must be at least 1")
     return [
         ((a,), posting)
-        for a, posting in sorted(index.posting.items())
+        for a, posting in sorted(index.items())
         if len(posting) >= sigma_min
     ]

@@ -322,13 +322,14 @@ class _Walk:
     vertices its search runs on: for a singleton its whole posting, or its
     entry in the ``first_pass`` that ``run`` was given; else the
     intersection of the sets both parents returned. A policy may skip the
-    search of a set whose own eps cannot reach eps_min. If no superset can
-    reach it either, or the set is closed, it returns an empty coverage set,
-    False and None; otherwise it returns, in place of the coverage set, a
-    superset of it that holds every coverage set of the set's supersets
-    (``run_scpm`` returns the core), whether to extend on it, and None. That
-    set's eps is below eps_min, so it is not scored. ``closed`` is the
-    zero-argument mark, for a policy to ask only where it decides a skip.
+    search of a set whose own eps cannot reach eps_min. If the set's members
+    already show that no superset can reach it either, or the set is closed,
+    it returns an empty coverage set, False and None; otherwise it returns,
+    in place of the coverage set, a superset of it that holds every coverage
+    set of the set's supersets (``run_scpm`` returns the core), whether to
+    extend on it, and None. That set's eps is below eps_min, so it is not
+    scored. ``closed`` is the zero-argument mark, for a policy to ask only
+    where it decides a skip.
     Only a set whose eps reaches eps_min can qualify, so only such a set is
     scored against the null model; it is recorded, with its patterns, when
     its delta reaches delta_min as well.
@@ -460,22 +461,21 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     gate_delta = cfg.delta_min > 0.0 and cfg.null_model.kind == ANALYTICAL
 
     def evaluate(attrs, mask, members, stats, closed):
-        # The coverage set lies in the members' z-core. A count too small to
-        # reach eps_min leaves the set unsearched, unrecorded and unextended.
-        # Between eps_min * sigma_min and eps_min times its own support a
-        # count is too small for the set's own eps, so the set is never
-        # searched and is extended on its core. The mark is asked once,
-        # before the peel, and only when the members fall in that gap: a
-        # closed set is then skipped unpeeled. A closed set whose core
-        # alone falls in the gap is extended on its core and forms no child.
+        # The coverage set lies in the members' z-core. A core too small for
+        # eps_min times the set's own support leaves the set unsearched and
+        # unscored, and it is extended on its core; prune_extension stops it
+        # when the core is too small for eps_min * sigma_min as well. The
+        # same tests on the members save the peel: members too small for
+        # eps_min * sigma_min, or too small for the set's own eps in a closed
+        # set, skip it unpeeled. The mark is asked once, and only then. A
+        # closed set whose core alone falls short is extended on its core
+        # and forms no child.
         support = mask.bit_count()
         if not _can_reach_eps_min(len(members), cfg.sigma_min, cfg) or (
             not _can_reach_eps_min(len(members), support, cfg) and closed()
         ):
             return (), False, None
         core = z_core(g.adjacency, members, cfg.qc_params.z)
-        if not _can_reach_eps_min(len(core), cfg.sigma_min, cfg):
-            return (), False, None
         floor = null.expected(cfg.sigma_min) if gate_delta else None
         if not _can_reach_eps_min(len(core), support, cfg):
             # The core holds every coverage set of the set's supersets, so

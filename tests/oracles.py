@@ -34,15 +34,19 @@ def dense_subsets(view: GraphView, gamma: Fraction, min_size: int):
     return found
 
 def brute_maximal(view: GraphView, gamma: Fraction, min_size: int):
-    """Maximal admissible sets as sorted (vertices, density) pairs."""
-    dense = dense_subsets(view, gamma, min_size)
+    """Maximal admissible sets as sorted (vertices, density) pairs.
+
+    The dense subsets are walked largest first, and each is tested only
+    against the maximal sets already kept: a dense set that is not maximal
+    lies in a larger maximal one, which was kept before it."""
+    kept: list[frozenset] = []
+    for q in reversed(dense_subsets(view, gamma, min_size)):
+        if not any(q < m for m in kept):
+            kept.append(q)
     adj = {v: set(view.neighbors(v)) for v in view.members}
-    out = []
-    for q in dense:
-        if any(q < other for other in dense):
-            continue
-        min_deg = min(len(adj[v] & q) for v in q)
-        out.append((tuple(sorted(q)), Fraction(min_deg, len(q) - 1)))
+    out = [
+        (tuple(sorted(q)), Fraction(min(len(adj[v] & q) for v in q), len(q) - 1)) for q in kept
+    ]
     out.sort(key=lambda item: (-len(item[0]), -item[1], item[0]))
     return out
 

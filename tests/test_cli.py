@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,16 +15,13 @@ from scpm import (
     run_scpm,
     vertex_set,
 )
-from scpm.cli import (
-    build_parser,
-    export_pattern_dot,
-    main,
-    manifest_to_argv,
-    parse_patterns,
-    parse_records,
-)
+from scpm.cli import build_parser, export_pattern_dot, main, manifest_to_argv
 
 from oracles import random_attributed_graph
+
+
+def rows(text):
+    return [tuple(line.split("\t")) for line in text.splitlines() if not line.startswith("#")]
 
 
 def run_cli(tmp_path, example_paths, *extra, records="records.tsv", patterns="patterns.tsv"):
@@ -231,53 +227,66 @@ class TestExitCodes:
 class TestExampleRun:
     def test_outputs_match_reference_rows(self, tmp_path, example_paths):
         assert run_cli(tmp_path, example_paths) == 0
-        records = parse_records((tmp_path / "records.tsv").read_text())
-        patterns = parse_patterns((tmp_path / "patterns.tsv").read_text())
-        by_attrs = {r.attribute_set: r for r in records}
-        assert set(by_attrs) == {("A",), ("B",), ("A", "B")}
-        assert by_attrs[("A",)].support == 11
-        assert f"{by_attrs[('A',)].eps:.2f}" == "0.82"
-        assert by_attrs[("B",)].eps == 1.0
-        assert by_attrs[("A", "B")].eps == 1.0
-        rows = {(p.attribute_set, p.size, p.density, p.vertices) for p in patterns}
-        assert rows == {
-            (("A",), 6, 0.60, (6, 7, 8, 9, 10, 11)),
-            (("A",), 4, 1.00, (3, 4, 5, 6)),
-            (("A",), 4, 0.67, (3, 4, 6, 7)),
-            (("A",), 4, 0.67, (3, 5, 6, 7)),
-            (("A",), 4, 0.67, (3, 6, 7, 8)),
-            (("B",), 6, 0.60, (6, 7, 8, 9, 10, 11)),
-            (("A", "B"), 6, 0.60, (6, 7, 8, 9, 10, 11)),
+        records = rows((tmp_path / "records.tsv").read_text())
+        by_attrs = {r[0]: r for r in records}
+        assert set(by_attrs) == {"A", "B", "A|B"}
+        assert by_attrs["A"][1:3] == ("11", "0.818182")
+        assert by_attrs["B"][2] == "1.000000"
+        assert by_attrs["A|B"][2] == "1.000000"
+        assert set(rows((tmp_path / "patterns.tsv").read_text())) == {
+            ("A", "6", "0.60", "6,7,8,9,10,11"),
+            ("A", "4", "1.00", "3,4,5,6"),
+            ("A", "4", "0.67", "3,4,6,7"),
+            ("A", "4", "0.67", "3,5,6,7"),
+            ("A", "4", "0.67", "3,6,7,8"),
+            ("B", "6", "0.60", "6,7,8,9,10,11"),
+            ("A|B", "6", "0.60", "6,7,8,9,10,11"),
         }
+
+    @pytest.mark.parametrize("case", ["example11", "infinite-delta"])
+    def test_data_lines_match_column_formats(self, tmp_path, example_paths, case):
+        # The writers own the format: each field re-formats to itself.
+        paths, flags = example_paths, ["--sigma-min", "2", "--eps-min", "0"]
+        if case == "infinite-delta":
+            # A 4-clique and a path: the one simulated sample of each
+            # support holds no 3-clique, so every eps_exp is 0.
+            paths = (tmp_path / "g.edges", tmp_path / "g.attrs")
+            paths[0].write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n5 6\n6 7\n")
+            paths[1].write_text("0 A B\n1 A B\n2 A B\n4 A B\n5 A\n6 B\n")
+            flags = ["--sigma-min", "3", "--gamma-min", "1", "--min-size", "3", "--eps-min", "0",
+                     "--null-model", "simulation", "--samples", "1", "--seed", "15"]
+        assert run_cli(tmp_path, paths, *flags) == 0
+        records = rows((tmp_path / "records.tsv").read_text())
+        assert records
+        assert any(r[4] == "inf" for r in records) == (case == "infinite-delta")
+        for attrs, support, eps, eps_exp, delta, covered in records:
+            assert attrs and all(attrs.split("|"))
+            assert support == str(int(support)) and covered == str(int(covered))
+            assert eps == f"{float(eps):.6f}" == f"{int(covered) / int(support):.6f}"
+            assert eps_exp == f"{float(eps_exp):.5e}"
+            assert delta == f"{float(delta):.6g}"  # also "inf"
+        patterns = rows((tmp_path / "patterns.tsv").read_text())
+        assert patterns
+        for attrs, size, density, vertices in patterns:
+            assert attrs in {r[0] for r in records}
+            assert size == str(int(size)) == str(len(vertices.split(",")))
+            assert density == f"{float(density):.2f}"
+            assert vertices == ",".join(str(int(v)) for v in vertices.split(","))
 
     def test_baseline_flag_produces_same_rows(self, tmp_path, example_paths):
         assert run_cli(tmp_path, example_paths) == 0
         assert run_cli(tmp_path, example_paths, "--baseline",
                        records="base_r.tsv", patterns="base_p.tsv") == 0
-        fast = parse_patterns((tmp_path / "patterns.tsv").read_text())
-        slow = parse_patterns((tmp_path / "base_p.tsv").read_text())
-        assert sorted(fast, key=str) == sorted(slow, key=str)
+        fast = rows((tmp_path / "patterns.tsv").read_text())
+        slow = rows((tmp_path / "base_p.tsv").read_text())
+        assert sorted(fast) == sorted(slow)
 
 
 class TestRoundTrip:
-    def test_records_file_round_trips(self, tmp_path, example_paths):
-        run_cli(tmp_path, example_paths)
-        text = (tmp_path / "records.tsv").read_text()
-        rows = parse_records(text)
-        # Re-serializing the parsed rows reproduces the identical data lines.
-        data_lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-        rebuilt = [
-            f"{'|'.join(r.attribute_set)}\t{r.support}\t{r.eps:.6f}"
-            f"\t{r.eps_exp:.5e}\t{'inf' if math.isinf(r.delta) else f'{r.delta:.6g}'}"
-            f"\t{r.covered_count}"
-            for r in rows
-        ]
-        assert rebuilt == data_lines
-
     def test_infinite_delta_serialized_as_inf(self, tmp_path):
-        # A graph whose analytical expectation is zero but eps is positive:
-        # two isolated triangles plus min_size=3, gamma=1 gives eps_exp>0...
-        # use sigma=1-vertex support instead: single tagged clique vertex set
+        # The reverse case: every sample of support 3 is this whole triangle,
+        # so eps_exp is 1 and delta is finite, not "inf". The "inf" field is
+        # checked in TestExampleRun::test_data_lines_match_column_formats.
         edges = tmp_path / "t.edges"
         edges.write_text("0 1\n0 2\n1 2\n")
         attrs = tmp_path / "t.attrs"
@@ -290,8 +299,8 @@ class TestRoundTrip:
             "--out-patterns", str(tmp_path / "p.tsv"),
         ])
         assert code == 0
-        rows = parse_records((tmp_path / "r.tsv").read_text())
-        assert rows and not math.isinf(rows[0].delta)  # whole graph: eps_exp = 1
+        records = rows((tmp_path / "r.tsv").read_text())
+        assert records and records[0][4] != "inf"  # whole graph: eps_exp = 1
 
 
 class TestManifest:
@@ -370,16 +379,16 @@ class TestSweep:
         for value in (3, 4, 5):
             run_cli(tmp_path, example_paths, "--min-size", str(value),
                     records=f"single_{value}.tsv", patterns=f"single_p{value}.tsv")
-            single = parse_records((tmp_path / f"single_{value}.tsv").read_text())
+            single = rows((tmp_path / f"single_{value}.tsv").read_text())
             block_lines = []
             active = False
             for line in sweep_text.splitlines():
                 if line.startswith("# block "):
                     active = line == f"# block min_size={value}"
                     continue
-                if active and line and not line.startswith("#"):
+                if active:
                     block_lines.append(line)
-            assert parse_records("\n".join(block_lines)) == single
+            assert rows("\n".join(block_lines)) == single
 
     def test_sweep_reports_summed_expansions(self, tmp_path, example_paths, capsys):
         def expansions():

@@ -45,8 +45,8 @@ class TestLoadGraph:
 
     def test_example11_fixture(self, example_graph, example_index, example_ids):
         assert example_graph.vertex_count == 11
-        assert len(example_index.posting[example_ids.A]) == 11
-        assert len(example_index.posting[example_ids.B]) == 6
+        assert len(example_index[example_ids.A]) == 11
+        assert len(example_index[example_ids.B]) == 6
 
     def test_matches_set_based_reference_loader(self):
         rng = random.Random(7)

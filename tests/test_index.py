@@ -10,15 +10,15 @@ from oracles import random_attributed_graph
 
 
 def test_example11_supports(example_graph, example_index, example_ids):
-    assert len(example_index.posting[example_ids.A]) == 11
-    assert len(example_index.posting[example_ids.B]) == 6
+    assert len(example_index[example_ids.A]) == 11
+    assert len(example_index[example_ids.B]) == 6
     assert len(vertex_set(example_index, (example_ids.A, example_ids.B))) == 6
 
 
 def test_unassigned_attribute_absent():
     g = load_graph(iter(["0 1"]), iter(["0 x"]))
     index = build_index(g)
-    assert set(index.posting) == {g.attribute_dictionary.id_for("x")}
+    assert set(index) == {g.attribute_dictionary.id_for("x")}
 
 
 def test_posting_lists_match_scan_oracle():
@@ -27,7 +27,7 @@ def test_posting_lists_match_scan_oracle():
     index = build_index(g)
     for a in range(len(g.attribute_dictionary)):
         expected = tuple(v for v in range(g.vertex_count) if a in g.attributes[v])
-        assert index.posting.get(a, ()) == expected
+        assert index.get(a, ()) == expected
 
 
 def test_postings_share_the_graph_vertex_objects():
@@ -38,22 +38,22 @@ def test_postings_share_the_graph_vertex_objects():
     g = random_attributed_graph(rng, n, 0.01, 4)
     assert g.external_ids[-1] == n - 1
     index = build_index(g)
-    entries = [v for vs in index.posting.values() for v in vs]
+    entries = [v for vs in index.values() for v in vs]
     assert len(entries) > n
     assert all(v is g.external_ids[v] for v in entries)
     for a in range(len(g.attribute_dictionary)):
-        assert index.posting.get(a, ()) == tuple(v for v in range(n) if a in g.attributes[v])
+        assert index.get(a, ()) == tuple(v for v in range(n) if a in g.attributes[v])
 
 
 def test_remapped_ids_give_dense_postings():
     g = load_graph(iter(["10 30", "30 50"]), iter(["10 x", "30 x y", "50 y"]))
     index = build_index(g)
     x, y = (g.attribute_dictionary.id_for(t) for t in "xy")
-    assert index.posting == {x: (0, 1), y: (1, 2)}
+    assert index == {x: (0, 1), y: (1, 2)}
 
 
 def test_vertex_set_singleton_identity(example_index, example_ids):
-    assert vertex_set(example_index, (example_ids.A,)) == example_index.posting[example_ids.A]
+    assert vertex_set(example_index, (example_ids.A,)) == example_index[example_ids.A]
 
 
 def test_vertex_set_unknown_attribute_is_empty(example_index):
@@ -91,7 +91,7 @@ def test_vertex_set_equals_pairwise_intersection():
     index = build_index(g)
     for combo in combinations(range(4), 2):
         a, b = combo
-        expect = tuple(sorted(set(index.posting.get(a, ())) & set(index.posting.get(b, ()))))
+        expect = tuple(sorted(set(index.get(a, ())) & set(index.get(b, ()))))
         assert vertex_set(index, combo) == expect
 
 
@@ -116,7 +116,7 @@ def test_intersect_sorted_skewed_lists():
 
 def test_frequent_attributes_threshold_one(example_index):
     singles = frequent_attributes(example_index, 1)
-    assert [s for s, _ in singles] == [(a,) for a in sorted(example_index.posting)]
+    assert [s for s, _ in singles] == [(a,) for a in sorted(example_index)]
 
 
 def test_frequent_attributes_example11(example_index, example_ids):
