@@ -34,7 +34,7 @@ from .graph import AttributedGraph, GraphFormatError, GraphView, induced_view, l
 from .index import AttributeIndex, build_index, vertex_set
 from .miner import MinerConfig, MiningResult, PatternRecord, run_naive, run_scpm
 from .nullmodel import ANALYTICAL, SIMULATION, NullModelConfig
-from .quasiclique import DEFAULT_EXPANSION_BUDGET, QuasiCliqueParams, SearchBudgetExceeded
+from .quasiclique import QuasiCliqueParams, SearchBudgetExceeded
 
 RECORDS_HEADER = "# attribute_set\tsupport\teps\teps_exp\tdelta\tcovered_count"
 PATTERNS_HEADER = "# attribute_set\tsize\tdensity\tvertices"
@@ -66,15 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-min", type=int, required=True, help="minimum attribute-set support")
     p.add_argument("--gamma-min", required=True, help="quasi-clique density threshold, e.g. 0.6 or 3/5")
     p.add_argument("--min-size", type=int, required=True, help="minimum quasi-clique size")
-    p.add_argument("--eps-min", type=float, default=0.0, help="minimum structural correlation")
-    p.add_argument("--delta-min", type=float, default=0.0, help="minimum normalized correlation")
-    p.add_argument("--top-k", default="5", help="patterns per attribute set: a count or 'all'")
-    p.add_argument(
-        "--null-model", choices=[ANALYTICAL, SIMULATION], default=ANALYTICAL,
-        help="expected-correlation model",
-    )
-    p.add_argument("--samples", type=int, default=100, help="simulation sample count")
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
+    p.add_argument("--eps-min", type=float, default=MinerConfig.eps_min,
+                   help="minimum structural correlation")
+    p.add_argument("--delta-min", type=float, default=MinerConfig.delta_min,
+                   help="minimum normalized correlation")
+    p.add_argument("--top-k", default=str(MinerConfig.k),
+                   help="patterns per attribute set: a count or 'all'")
+    p.add_argument("--null-model", choices=[ANALYTICAL, SIMULATION], default=NullModelConfig.kind,
+                   help="expected-correlation model")
+    p.add_argument("--samples", type=int, default=NullModelConfig.samples,
+                   help="simulation sample count")
+    p.add_argument("--seed", type=int, default=NullModelConfig.seed, help="simulation seed")
     p.add_argument("--baseline", action="store_true", help="use the exhaustive baseline miner")
     p.add_argument("--max-set-size", type=int, default=None, help="cap on attribute-set size")
     p.add_argument("--sweep", default=None, metavar="PARAM=START:END:STEP",
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-dot", default=None, metavar="DIR", help="write one DOT file per pattern")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort with exit code 3 when the expansion ceiling is hit")
-    p.add_argument("--max-expansions", type=int, default=DEFAULT_EXPANSION_BUDGET,
+    p.add_argument("--max-expansions", type=int, default=MinerConfig.expansion_budget,
                    help="candidate-expansion ceiling per induced graph")
     return p
 
@@ -235,7 +237,7 @@ def patterns_text(blocks, g: AttributedGraph, manifest_name: str) -> str:
 
     def row(pat):
         q = pat.quasi_clique
-        vertices = ",".join(str(g.original_id(v)) for v in q.vertices)
+        vertices = ",".join(str(g.external_ids[v]) for v in q.vertices)
         return f"{label(pat.attribute_set)}\t{q.size}\t{float(q.density):.2f}\t{vertices}"
 
     return _tsv_text("patterns", PATTERNS_HEADER, row, blocks, manifest_name)
@@ -328,6 +330,9 @@ def _write_dot_exports(
 ):
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    # An earlier export's files would pass for this run's patterns.
+    for stale in directory.glob("pattern_*.dot"):
+        stale.unlink()
     # A set's patterns are consecutive, so each set builds one view.
     numbered = enumerate(result.patterns)
     for attrs, group in groupby(numbered, key=lambda item: item[1].attribute_set):

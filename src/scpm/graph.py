@@ -78,9 +78,6 @@ class AttributedGraph:
     external_ids: tuple[int, ...]
     dropped_self_loops: int = 0
 
-    def original_id(self, v: int) -> int:
-        return self.external_ids[v]
-
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2

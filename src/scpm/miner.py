@@ -186,18 +186,6 @@ class MiningResult:
         yield self.patterns
 
 
-@dataclass
-class _Entry:
-    """Frontier entry: attribute set, its support, its posting as an int
-    bitset, and its coverage set, or its core if it was not searched, as a
-    vertex set."""
-
-    attrs: tuple[int, ...]
-    support: int
-    mask: int
-    covered: frozenset[int]
-
-
 def _bitset(vertices: tuple[int, ...]) -> int:
     """The int with bit v set for every vertex v of a sorted vertex tuple.
     The walk makes one per frequent singleton's posting; every deeper
@@ -314,6 +302,9 @@ class _Walk:
     closed. An extended entry joins the frontier unless it is proved closed;
     its children are formed by ANDing it with each earlier frontier entry,
     and no join is kept, so an unproved closed entry forms none.
+    Candidates and frontier entries are one node shape, the tuple (support,
+    attrs, mask, vertex set), and the frontier sorts as plain tuples, by
+    (support, attrs).
 
     ``evaluate(attrs, mask, members, stats, closed)`` searches one set,
     adding its expansions to the run's ``stats``, and returns its coverage
@@ -366,22 +357,24 @@ class _Walk:
         postings = [p for _, p in singles]
         members = postings if first_pass is None else first_pass(postings)
         self._walk_class(
-            [(a, len(p), _bitset(p), m) for (a, p), m in zip(singles, members)]
+            [(len(p), a, _bitset(p), m) for (a, p), m in zip(singles, members)]
         )
         return MiningResult(self.records, self.patterns, self.stats)
 
     def _walk_class(self, candidates):
         """Visit one class in order, then union each frontier entry with its
         earlier siblings and walk the children whose posting AND reaches
-        sigma_min as the next class. A candidate is (attrs, support, mask,
-        members); only a child forms its attribute set and intersects its
-        parents' sets for the members its search runs on."""
+        sigma_min as the next class. A candidate's vertex set is the sorted
+        members its search runs on, a frontier entry's the frozenset of the
+        set its visit returned. Only a child forms its attribute set and
+        intersects its parents' sets for its members. No two entries share
+        (support, attrs), so the frontier's sort compares nothing else."""
         if not candidates:
             return
         sigma_min = self.cfg.sigma_min
         masks = [c[2] for c in candidates]
         # At the max_set_size cap every candidate starts closed.
-        proved = [len(candidates[0][0]) >= (self.cfg.max_set_size or math.inf)] * len(masks)
+        proved = [len(candidates[0][1]) >= (self.cfg.max_set_size or math.inf)] * len(masks)
 
         def closed(i):
             if not proved[i]:
@@ -393,22 +386,21 @@ class _Walk:
                         return False
             return True
 
-        frontier: list[_Entry] = []
-        for i, (attrs, support, mask, members) in enumerate(candidates):
+        frontier = []
+        for i, (support, attrs, mask, members) in enumerate(candidates):
             covered = self._visit(attrs, support, mask, members, partial(closed, i))
             if covered is not None and not proved[i]:
-                frontier.append(_Entry(attrs, support, mask, frozenset(covered)))
-        frontier.sort(key=lambda e: (e.support, e.attrs))
-        for i, base in enumerate(frontier):
+                frontier.append((support, attrs, mask, frozenset(covered)))
+        frontier.sort()
+        for i, (_, attrs, mask, covered) in enumerate(frontier):
             children = []
-            for other in frontier[:i]:
-                mask = base.mask & other.mask
-                support = mask.bit_count()
+            for _, other_attrs, other_mask, other_covered in frontier[:i]:
+                child = mask & other_mask
+                support = child.bit_count()
                 if support >= sigma_min:
-                    attrs = _union_attrs(base.attrs, other.attrs)
-                    # Each parent's set lies in its posting, so within mask.
-                    members = tuple(sorted(base.covered & other.covered))
-                    children.append((attrs, support, mask, members))
+                    # Each parent's set lies in its posting, so within child.
+                    members = tuple(sorted(covered & other_covered))
+                    children.append((support, _union_attrs(attrs, other_attrs), child, members))
             self._walk_class(children)
 
     def _visit(self, attrs, support, mask, members, closed) -> Sequence[int] | None:

@@ -8,7 +8,10 @@ a support in one sweep by ``graph.z_survivors`` and the peel finished by
 can still hold a quasi-clique, mined with the coverage engine; samples
 with the same survivors of that first pass share one peel and one search)
 and an analytical upper bound built from the graph's degree counts
-(``AttributedGraph.degree_counts``).
+(``AttributedGraph.degree_counts``). ``NullModel`` serves one mining run
+and memoizes either model's answer by support, an overflow included;
+``ExpectedCorrelation`` holds a value and, from the simulation, its
+standard deviation.
 
 A vertex needs degree at least z = ceil(gamma_min * (min_size - 1)) inside
 the sample to sit in any quasi-clique, and the chance that a degree-alpha
@@ -61,10 +64,11 @@ class NullModelConfig:
 
 @dataclass(frozen=True)
 class ExpectedCorrelation:
-    """An expected-correlation value in [0, 1] and the model that produced it."""
+    """An expected-correlation value in [0, 1], with the sample standard
+    deviation when the simulation estimated it. The model that produced
+    it is the run's ``NullModelConfig.kind``."""
 
     value: float
-    kind: str
     std_dev: float | None = None
 
 
@@ -113,7 +117,7 @@ def max_eps_exp(
         for alpha, c in counts.items()
         if alpha >= z
     )
-    return ExpectedCorrelation(value=min(1.0, max(0.0, total)), kind=ANALYTICAL)
+    return ExpectedCorrelation(value=min(1.0, max(0.0, total)))
 
 
 def _stream_seed(seed: int, sigma: int, trial: int) -> int:
@@ -150,13 +154,13 @@ def sim_eps_exp(
     peeled by ``graph.z_core``. A sample's core, and so its score, depends
     on its sorted survivors alone, so they are the memo key: a sample whose
     survivors equal an earlier sample's is neither peeled nor searched
-    again. A core smaller than min_size scores 0 without a search too.
-    Searching the core gives the same coverage and the same expansions as
-    searching the whole sample, since the engine peels every view with the
-    same ``z_core`` first, and a core passes that peel unchanged. Samples
-    are searched in trial order, one search per distinct survivor list,
-    and the expansions of every search, including one that overflows, are
-    added to ``stats``.
+    again, which happens when sigma is close to n. A core smaller than
+    min_size scores 0 without a search too. Searching the core gives the
+    same coverage and the same expansions as searching the whole sample,
+    since the engine peels every view with the same ``z_core`` first, and
+    a core passes that peel unchanged. Samples are searched in trial
+    order, one search per distinct survivor list, and the expansions of
+    every search, including one that overflows, are added to ``stats``.
     The miners ask for a support only to score a set whose eps reaches
     eps_min, so their ``expansions`` count the samples of those supports
     alone.
@@ -198,7 +202,7 @@ def sim_eps_exp(
         std = math.sqrt(var)
     else:
         std = 0.0
-    return ExpectedCorrelation(value=mean, kind=SIMULATION, std_dev=std)
+    return ExpectedCorrelation(value=mean, std_dev=std)
 
 
 def delta_ratio(eps: float, eps_exp: ExpectedCorrelation) -> float:
@@ -223,11 +227,14 @@ class NullModel:
     """Per-run provider of expected correlations, memoized by support.
 
     The expectation depends only on the support, the graph, and the
-    quasi-clique parameters, so one cache serves a whole mining run. The
-    simulation searches its samples with the run's expansion ``budget``; a
-    sample that overflows raises SearchBudgetExceeded, and every later
-    request for that support raises it again without searching, since the
-    same samples would overflow the same budget. The miners call
+    quasi-clique parameters, so one memo serves a whole mining run. It maps
+    each support asked for to its value or, when the simulation overflowed,
+    to the SearchBudgetExceeded it raised, kept without the traceback that
+    holds the simulation's frames. The simulation searches its
+    samples with the run's expansion ``budget``; every later request for an
+    overflowed support raises a new SearchBudgetExceeded with the same
+    message without drawing the samples again, since the same samples would
+    overflow the same budget. The miners call
     ``expected`` only for a set whose eps reaches eps_min, so the supports
     of the other sets are never simulated. The analytical model reads the
     graph's ``degree_counts``, counted on first read and kept on the graph,
@@ -247,22 +254,20 @@ class NullModel:
         self._params = params
         self._cfg = cfg
         self._budget = budget
-        self._cache: dict[int, ExpectedCorrelation] = {}
-        # Support -> message of the overflow its simulation raised.
-        self._overflowed: dict[int, str] = {}
+        self._memo: dict[int, ExpectedCorrelation | SearchBudgetExceeded] = {}
 
     def expected(self, sigma: int, *, stats: SearchStats | None = None) -> ExpectedCorrelation:
         """Expected correlation at support ``sigma``; sample-search
         expansions are added to ``stats``."""
-        hit = self._cache.get(sigma)
-        if hit is not None:
-            return hit
-        overflow = self._overflowed.get(sigma)
-        if overflow is not None:
-            raise SearchBudgetExceeded(overflow)
+        value = self._memo.get(sigma)
+        if value is not None:
+            if isinstance(value, SearchBudgetExceeded):
+                # Raising the kept instance would grow its traceback each time.
+                raise SearchBudgetExceeded(*value.args)
+            return value
         if self._g.vertex_count < 2:
             # No sample of a sub-2-vertex graph can reach any degree floor.
-            value = ExpectedCorrelation(value=0.0, kind=self._cfg.kind)
+            value = ExpectedCorrelation(value=0.0)
         elif self._cfg.kind == ANALYTICAL:
             value = max_eps_exp(self._g.degree_counts, sigma, self._params, self._g.vertex_count)
         else:
@@ -271,7 +276,7 @@ class NullModel:
                     self._g, sigma, self._params, self._cfg, budget=self._budget, stats=stats
                 )
             except SearchBudgetExceeded as exc:
-                self._overflowed[sigma] = str(exc)
+                self._memo[sigma] = SearchBudgetExceeded(*exc.args)
                 raise
-        self._cache[sigma] = value
+        self._memo[sigma] = value
         return value

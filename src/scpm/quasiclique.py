@@ -20,7 +20,8 @@ all of them share one child generator. There are two:
   family (proved at ``_ViewSearch.maximal``): full maximal enumeration
   (the exhaustive baseline) without a size floor, and top-k extraction
   (size desc, density desc, lexicographic asc) with a dynamic size floor
-  raised as the pool fills;
+  raised as the pool fills, which never clips a top-k pattern, so no
+  exhaustive re-run follows;
 * coverage-set computation (which vertices lie in any quasi-clique): one
   exhaustive walk per still-uncovered root, explored greedy-first
   (densest extension first) and stopped at the first admissible set.
@@ -33,8 +34,9 @@ Pruning applied at every node, all of it sound for the above outputs:
   chosen | extensions;
 * size-interval emptiness: any admissible superset found below this node
   has size at most min(|chosen | extensions|, min over chosen v of
-  floor(deg(v) / gamma) + 1) and at least max(min_size, |X|); an empty
-  interval kills the node (this is what stops runaway descents in views
+  floor(deg(v) / gamma) + 1), the size upper bound of Quick (Liu & Wong,
+  ECML PKDD 2008), and at least max(min_size, |X|); an empty interval
+  kills the node (this is what stops runaway descents in views
   whose degree floor z is small);
 * a lookahead that accepts chosen | extensions wholesale when it is
   already dense; and
@@ -43,19 +45,23 @@ Pruning applied at every node, all of it sound for the above outputs:
   vertex, and at gamma_min = 1, where they are cliques, to the common
   neighbours of the chosen vertices. A vertex's distance-2 ball is made on
   its first read, so a walk pays only for the balls of the vertices it
-  branches on.
+  branches on: a view settled at its root builds one ball for its
+  coverage search and none for its top-k search.
 
 An engine's fixed cost follows the work of its searches. Its bitmasks are
 made in C-level passes, its degree-floor and size-cap tables are built for
 its own core size, and it is kept on the view it was built for
-(``GraphView.engine``): a later search of that view with the same
-parameters object reuses it, with its expansion counter at 0 and the new
-call's budget. A coverage search followed by a top-k search of the same
-view therefore builds one engine and peels once.
+(``GraphView.engine``). Every search opens ``_engine``, the engine's one
+lifecycle: it reuses the view's engine when that was built for the same
+parameters object, sets its expansion counter to 0 and its budget to the
+call's, and adds the expansions to the caller's stats on exit, overflow or
+not. A coverage search followed by a top-k search of the same view
+therefore builds one engine and peels once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -162,13 +168,13 @@ def vertex_prune(view: GraphView, params: QuasiCliqueParams) -> GraphView:
 class _ViewSearch:
     """Bitmask set-enumeration search over one z-core-reduced view.
 
-    One engine may serve several searches of its view (``_search``). A
-    search changes only its counter and budget, which ``_search`` resets,
-    and the reach balls built on first read, which any walk would build
-    alike.
+    One engine may serve several searches of its view, each opened by
+    ``_engine``, which owns the expansion counter and budget. A search
+    changes only those and the reach balls built on first read, which any
+    walk would build alike.
     """
 
-    def __init__(self, view: GraphView, params: QuasiCliqueParams, budget: int):
+    def __init__(self, view: GraphView, params: QuasiCliqueParams):
         core = vertex_prune(view, params)
         members = core.members
         n = len(members)
@@ -187,8 +193,6 @@ class _ViewSearch:
         self.n = n
         self.vertex_of = order
         self.full_mask = (1 << n) - 1
-        self.budget = budget
-        self.expansions = 0
         # floors[s]: the degree floor of a size-s set; size_cap[d]: the
         # largest set a vertex of within-degree d can belong to.
         num, den = params.gamma_min.numerator, params.gamma_min.denominator
@@ -465,23 +469,23 @@ def _antichain_insert(pool: list[int], mask: int):
     pool.append(mask)
 
 
-def _search(view: GraphView, params: QuasiCliqueParams, budget: int) -> _ViewSearch:
-    """The engine kept on ``view`` when it was built for this ``params``
-    object, its counter reset to 0 and its budget set to ``budget``;
-    otherwise a new engine, which the view then keeps in its place."""
+@contextmanager
+def _engine(view: GraphView, params: QuasiCliqueParams, budget: int, stats: SearchStats | None):
+    """One search's engine: the one kept on ``view`` when it was built for
+    this ``params`` object, else a new one that the view keeps in its
+    place. Its counter starts at 0 against ``budget``, and its expansions
+    are added to ``stats`` on exit, whether the search overflowed or not."""
     search = view.engine
-    if search is not None and search.params is params:
-        search.expansions = 0
-        search.budget = budget
-    else:
-        search = _ViewSearch(view, params, budget)
+    if search is None or search.params is not params:
+        search = _ViewSearch(view, params)
         object.__setattr__(view, "engine", search)
-    return search
-
-
-def _finish(search: _ViewSearch, stats: SearchStats | None):
-    if stats is not None:
-        stats.expansions += search.expansions
+    search.expansions = 0
+    search.budget = budget
+    try:
+        yield search
+    finally:
+        if stats is not None:
+            stats.expansions += search.expansions
 
 
 def enumerate_maximal(
@@ -515,11 +519,8 @@ def covered_vertices(
     again. The engine is kept on ``view`` for a later search with the same
     ``params``; each call counts its own expansions against its own budget.
     """
-    search = _search(view, params, budget)
-    try:
+    with _engine(view, params, budget, stats) as search:
         covered = search.cover()
-    finally:
-        _finish(search, stats)
     return tuple(sorted(search.vertex_of[p] for p in _bits(covered)))
 
 
@@ -540,11 +541,8 @@ def top_k_patterns(
     """
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
-    search = _search(view, params, budget)
-    try:
+    with _engine(view, params, budget, stats) as search:
         masks = search.maximal(k)
-    finally:
-        _finish(search, stats)
     cliques = [search._clique_from_mask(m, m.bit_count()) for m in masks]
     cliques.sort(key=pattern_sort_key)
     return cliques[:k]

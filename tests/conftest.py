@@ -47,6 +47,6 @@ def example_ids(example_graph):
 
         @staticmethod
         def orig(vs):
-            return tuple(example_graph.original_id(v) for v in vs)
+            return tuple(example_graph.external_ids[v] for v in vs)
 
     return Ids

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from scpm import (
+    MinerConfig,
     PatternRecord,
     QuasiClique,
     QuasiCliqueParams,
@@ -15,7 +16,7 @@ from scpm import (
     run_scpm,
     vertex_set,
 )
-from scpm.cli import build_parser, export_pattern_dot, main, manifest_to_argv
+from scpm.cli import _config_from_args, build_parser, export_pattern_dot, main, manifest_to_argv
 
 from oracles import random_attributed_graph
 
@@ -362,6 +363,12 @@ class TestManifest:
         config = json.loads(json.dumps(vars(args)))
         assert build_parser().parse_args(manifest_to_argv({"config": config})) == args
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        required = ["--graph", "g", "--attributes", "a", "--sigma-min", "1",
+                    "--gamma-min", "1", "--min-size", "2"]
+        cfg = _config_from_args(build_parser().parse_args(required))
+        assert cfg == MinerConfig(qc_params=QuasiCliqueParams(Fraction(1), 2))
+
 
 class TestSweep:
     def test_gamma_sweep_produces_blocks(self, tmp_path, example_paths):
@@ -438,7 +445,7 @@ class TestDotExport:
         view = induced_view(example_graph, members)
         dense = example_ids.dense_set((3, 4, 5, 6))
         pattern = PatternRecord((example_ids.A,), QuasiClique(dense, Fraction(1)))
-        labels = {v: example_graph.original_id(v) for v in range(example_graph.vertex_count)}
+        labels = {v: example_graph.external_ids[v] for v in range(example_graph.vertex_count)}
         text = export_pattern_dot(pattern, view, labels=labels)
         assert text.count("[style=filled") == 4
         assert text.count("[penwidth=2]") == 6
@@ -482,6 +489,18 @@ class TestDotExport:
         # Nodes carry the file's ids (1-11), not the dense ids (0-10).
         text = "".join(d.read_text() for d in dots)
         assert '"11"' in text and '"0"' not in text
+
+    def test_cli_export_replaces_earlier_pattern_files(self, tmp_path, example_paths):
+        dots = tmp_path / "dots"
+        run_cli(tmp_path, example_paths, "--export-dot", str(dots))
+        (dots / "notes.txt").write_text("kept")
+        (dots / "pattern_0000.gv").write_text("kept")
+        run_cli(tmp_path, example_paths, "--export-dot", str(dots), "--top-k", "1")
+        patterns = rows((tmp_path / "patterns.tsv").read_text())
+        assert 0 < len(patterns) < 7
+        written = sorted(p.name for p in dots.glob("pattern_*.dot"))
+        assert written == [f"pattern_{i:04d}.dot" for i in range(len(patterns))]
+        assert (dots / "notes.txt").read_text() == (dots / "pattern_0000.gv").read_text() == "kept"
 
     def test_cli_export_builds_index_once(self, tmp_path, example_paths, monkeypatch):
         import scpm.cli

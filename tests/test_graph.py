@@ -61,7 +61,7 @@ class TestLoadGraph:
         seen = set()
         for dv in range(g.vertex_count):
             for du in g.adjacency[dv]:
-                a, b = g.original_id(dv), g.original_id(du)
+                a, b = g.external_ids[dv], g.external_ids[du]
                 seen.add((min(a, b), max(a, b)))
         assert seen == pairs
 

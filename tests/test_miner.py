@@ -110,12 +110,12 @@ class TestPruneExtension:
         cfg = reference_config()
         rec = structural_correlation(example_graph, example_index, (example_ids.A,), cfg)
         # covered_count = 9 >= 0.5 * 3
-        assert prune_extension(rec.covered, cfg, ExpectedCorrelation(0.0, ANALYTICAL))
+        assert prune_extension(rec.covered, cfg, ExpectedCorrelation(0.0))
 
     def test_zero_eps_pruned_when_thresholds_positive(self):
-        rec = CorrelationRecord((0,), 10, (), 0.0, ExpectedCorrelation(0.1, ANALYTICAL), 0.0)
+        rec = CorrelationRecord((0,), 10, (), 0.0, ExpectedCorrelation(0.1), 0.0)
         cfg = reference_config(eps_min=0.1)
-        assert not prune_extension(rec.covered, cfg, ExpectedCorrelation(0.1, ANALYTICAL))
+        assert not prune_extension(rec.covered, cfg, ExpectedCorrelation(0.1))
 
     def test_matches_independent_arithmetic(self):
         rng = random.Random(55)
@@ -131,11 +131,11 @@ class TestPruneExtension:
                 support,
                 tuple(range(covered_n)),
                 covered_n / support,
-                ExpectedCorrelation(0.5, ANALYTICAL),
+                ExpectedCorrelation(0.5),
                 1.0,
             )
             cfg = reference_config(sigma_min=sigma_min, eps_min=eps_min, delta_min=delta_min)
-            floor = ExpectedCorrelation(floor_value, ANALYTICAL)
+            floor = ExpectedCorrelation(floor_value)
             eps = covered_n / support
             expected = (eps * support >= eps_min * sigma_min) and (
                 eps * support >= delta_min * floor_value * sigma_min

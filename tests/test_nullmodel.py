@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from traceback import walk_tb
 
 import pytest
 
@@ -305,20 +306,20 @@ class TestSimEpsExp:
 
 class TestNormalizedDelta:
     def test_equal_values_give_one(self):
-        assert normalized_delta(0.5, ExpectedCorrelation(0.5, ANALYTICAL)) == 1.0
+        assert normalized_delta(0.5, ExpectedCorrelation(0.5)) == 1.0
 
     def test_zero_eps_gives_zero(self):
-        assert normalized_delta(0.0, ExpectedCorrelation(0.0, ANALYTICAL)) == 0.0
-        assert normalized_delta(0.0, ExpectedCorrelation(0.3, ANALYTICAL)) == 0.0
+        assert normalized_delta(0.0, ExpectedCorrelation(0.0)) == 0.0
+        assert normalized_delta(0.0, ExpectedCorrelation(0.3)) == 0.0
 
     def test_positive_over_zero_is_infinite(self):
-        delta = normalized_delta(0.19, ExpectedCorrelation(0.0, ANALYTICAL))
+        delta = normalized_delta(0.19, ExpectedCorrelation(0.0))
         assert math.isinf(delta)
         assert delta > 1e300
 
     def test_rejects_out_of_range_eps(self):
         with pytest.raises(ValueError):
-            normalized_delta(1.5, ExpectedCorrelation(0.5, ANALYTICAL))
+            normalized_delta(1.5, ExpectedCorrelation(0.5))
 
 
 class TestNullModelProvider:
@@ -328,6 +329,32 @@ class TestNullModelProvider:
         model = NullModel(g, P06_4, NullModelConfig(kind=ANALYTICAL))
         first = model.expected(7)
         assert model.expected(7) is first
+
+    def test_overflowed_support_raises_again_without_simulating(self, monkeypatch):
+        # On a 16-cycle every sample of support 8 with a path of three
+        # survives the peel, and its search overflows a budget of 3.
+        cycle = [f"{v} {(v + 1) % 16}" for v in range(16)]
+        g = load_graph(iter(cycle), iter([]))
+        cfg = NullModelConfig(kind=SIMULATION, samples=5)
+        model = NullModel(g, QuasiCliqueParams(Fraction(1, 2), 3), cfg, budget=3)
+        simulated = []
+        real = nm.sim_eps_exp
+
+        def counting(graph, sigma, *args, **kwargs):
+            simulated.append(sigma)
+            return real(graph, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(nm, "sim_eps_exp", counting)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(SearchBudgetExceeded) as info:
+                model.expected(8)
+            raised.append(info.value)
+        assert simulated == [8]
+        assert len({str(e) for e in raised}) == 1 and len({id(e) for e in raised}) == 3
+        # Each later raise is new, so its traceback does not grow.
+        depth = [len(list(walk_tb(e.__traceback__))) for e in raised[1:]]
+        assert depth[0] == depth[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
