@@ -18,7 +18,7 @@ from scpm import (
     z_core,
 )
 
-from scpm.graph import MAX_VERTEX_ID, z_survivors
+from scpm.graph import _EDGE_BLOCK as BLOCK, MAX_VERTEX_ID, z_survivors
 
 from oracles import (
     brute_z_core,
@@ -114,7 +114,7 @@ class TestLoadGraph:
         assert d.id_for("mango") == 2
 
     def test_transient_memory_is_a_small_multiple_of_the_graph(self):
-        # The load's traced peak is 1.3 times the graph it keeps on this
+        # The load's traced peak is 1.31 times the graph it keeps on this
         # instance; one set per vertex while reading takes 6.3 times.
         edges, attrs = planted_instance_lines(
             n=10000, blocks=100, noise_attrs=150, background_edges=20000, blob_size=60
@@ -214,6 +214,118 @@ class TestLoaderMatchesReference:
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
         assert got.value.line_number == expected.value.line_number
+
+
+def loaded_or_error(load, edges, attrs=()):
+    """The graph ``load`` builds from the lines, or its error's type,
+    message and line number."""
+    try:
+        return load(iter(edges), iter(attrs))
+    except GraphFormatError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+def assert_loads_as_reference(edges, attrs=()):
+    got = loaded_or_error(load_graph, edges, attrs)
+    assert got == loaded_or_error(reference_load_graph, edges, attrs)
+    return got
+
+
+def plain_edges(count, seed=0):
+    rng = random.Random(seed)
+    return [f"{rng.randrange(500)} {rng.randrange(500)}" for _ in range(count)]
+
+
+class TestEdgeBlocks:
+    """The edge loop reads ``BLOCK`` lines at a time: one pattern match and
+    one split for a block of plain lines, the checked parser line by line
+    for any other block. Both must load what the reference loader loads."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [["5 6", "7"], ["1 2\n3 4\n", "5 6"], ["1 2\n\n3 4", ""], ["1 2\n\n3 4\n", "5 6"]],
+    )
+    def test_lines_stay_apart(self, edges):
+        # Each is an error, but a block parse that joined its lines by ""
+        # could merge them into plain edge lines.
+        assert isinstance(assert_loads_as_reference(edges), tuple)
+
+    @pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+    @pytest.mark.parametrize("bad", ["7", "1 2 3", "x 2", f"{2**63} 1"])
+    def test_bad_line_at_a_block_edge(self, at, bad):
+        edges = plain_edges(3 * BLOCK)
+        edges[at] = bad
+        _, _, line_number = assert_loads_as_reference(edges)
+        assert line_number == at + 1
+
+    def test_only_the_header_block_goes_to_the_checked_parser(self, monkeypatch):
+        from scpm import graph
+
+        checked = []
+        parse = graph._checked_edge_line
+
+        def counting(raw, source, line_number):
+            checked.append(line_number)
+            return parse(raw, source, line_number)
+
+        monkeypatch.setattr(graph, "_checked_edge_line", counting)
+        edges = ["# u v"] + plain_edges(3 * BLOCK)
+        g = assert_loads_as_reference(edges)
+        assert g.edge_count > 0
+        assert checked == list(range(1, BLOCK + 1))
+
+    def test_crlf_endings(self):
+        edges = ["# u v\r\n"] + [line + "\r\n" for line in plain_edges(3 * BLOCK)]
+        assert_loads_as_reference(edges)
+        assert_loads_as_reference(edges[1:])
+
+    def test_last_line_without_newline(self):
+        edges = [line + "\n" for line in plain_edges(BLOCK + 3)]
+        edges[-1] = edges[-1].rstrip("\n")
+        assert_loads_as_reference(edges)
+        assert_loads_as_reference(edges[:BLOCK])
+
+    @pytest.mark.parametrize("line", ["1 2\v3 4", "1\v2", "1 2\v", "\v1 2", "1 2\f", "\f1\f2\f", "1 2\f3 4"])
+    def test_vertical_tab_or_form_feed_in_a_line(self, line):
+        for at in (0, BLOCK // 2, BLOCK - 1):
+            edges = plain_edges(BLOCK)
+            edges[at] = line
+            assert_loads_as_reference(edges)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "999999999999999999 0",
+            "000000000000000007 1",
+            "1234567890123456789 0",
+            f"{MAX_VERTEX_ID} 0",
+            f"0 {MAX_VERTEX_ID + 1}",
+            "12345678901234567890 0",
+            "0 00000000000000000001",
+        ],
+    )
+    def test_long_ids(self, line):
+        # 18 digits read on the block path; 19 and 20 go to the checked
+        # parser, which accepts them up to MAX_VERTEX_ID.
+        edges = plain_edges(BLOCK)
+        edges[5] = line
+        assert_loads_as_reference(edges)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sources=graph_sources(), data=st.data())
+    def test_tiled_sources_cross_blocks(self, sources, data):
+        # graph_sources draws at most 25 lines a source, so its lines are
+        # tiled between runs of plain lines until they fill three blocks.
+        drawn, attrs = sources
+        rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+        edges = []
+        while len(edges) <= 3 * BLOCK:
+            edges += plain_edges(rng.randrange(2 * BLOCK), seed=rng.randrange(2**32))
+            edges += drawn
+        if data.draw(st.booleans(), label="bad line"):
+            at = data.draw(st.integers(0, len(edges)), label="position")
+            edges.insert(at, data.draw(LEADING) + data.draw(st.sampled_from(BAD_EDGE_LINES)) + data.draw(TRAILING))
+        assert_loads_as_reference(edges, attrs)
 
 
 class TestDegreeDistribution:
