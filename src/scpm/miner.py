@@ -11,16 +11,21 @@ frequent singleton's posting list becomes its bitset before its class is
 visited; below the singletons no posting list is merged. A candidate's
 posting is the AND of its parents' bitsets and its support the bit count of
 that AND, so a candidate below sigma_min is skipped before its attribute
-set is formed. A candidate with no join reaching sigma_min in its class is
-closed: it has no descendant in the walk. No pass marks a class before it
-is visited; a policy asks for the mark, which scans the class, and no join
-is kept. A visited set's coverage set (or, if the set was not searched,
-its core) is kept as the vertex set it is, and the members a child's
-search runs on are the intersection of both parents' sets: a few
-vertices, never a decode of the whole posting.
+set is formed. The vertex sets a child can search on are kept as gates:
+bitsets over the run's universe, the vertices in the members of at least
+two singletons, far narrower than a posting (``_Universe``). A join is
+*live* when its two gates share enough vertices for the child to pass its
+policy's first test, and only a live join gets the posting AND. A
+candidate with no live join reaching sigma_min in its class is closed: it
+has no descendant that the walk forms. No pass marks a class before it is
+visited; a policy asks for the mark, which scans the class, and no join is
+kept. A visited set's coverage set (or, if the set was not searched, its
+core) is kept as its gate, and the members a child's search runs on are
+the AND of both parents' gates, decoded only for a child that is formed: a
+few vertices, never a decode of the whole posting.
 
 The pruned miner keeps the qualifying output of the exhaustive one with
-seven prunings, the last of which the exhaustive one shares:
+eight prunings, the last of which the exhaustive one shares:
 
 * each child's quasi-clique search is restricted to the intersection of its
   parents' coverage sets or, for a parent that was not searched, its core
@@ -38,6 +43,14 @@ seven prunings, the last of which the exhaustive one shares:
   coverage set lies in the core, so a smaller core gives eps below eps_min
   and fails the extension test below. Such a set is visited but gets no
   view, no score and no children; with eps_min 0 nothing is skipped,
+* so a join is formed only when the two sets its child could search share
+  at least that many vertices, the floor: the least count c with c /
+  sigma_min >= eps_min. In a mark scan they are the two candidates'
+  members, in a frontier join the sets the two parents' visits returned;
+  the child's members lie in both. A dead join gets no posting AND and its
+  child, which the test above would skip, is not formed. A candidate whose
+  every join is dead or below sigma_min counts as closed; only
+  ``sets_visited`` falls,
 * a set is searched only when its members, and then its core, number at
   least eps_min times its own support (tested as count / support >=
   eps_min, the division eps is computed with): below that its own eps =
@@ -77,6 +90,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -159,19 +173,25 @@ class PatternRecord:
 
 @dataclass
 class MinerStats(SearchStats):
-    """Counters for one run: engine expansions, visited sets, aborted sets.
+    """Counters for one run: engine expansions, visited sets, full-width
+    posting ANDs, aborted sets.
 
     The walk hands this object to every search it runs, so ``expansions``
     counts the searches of every searched set's view, of its top-k
     patterns, and of the simulation samples drawn for the supports that
-    were scored, i.e. of sets whose eps reached eps_min. A set that
-    ``run_scpm`` does not search because its core is too small, for eps_min
-    times sigma_min or times its own support, counts as visited and adds no
+    were scored, i.e. of sets whose eps reached eps_min. ``sets_visited``
+    counts the sets the walk formed and visited. A set that ``run_scpm``
+    does not search because its core is too small, for eps_min times
+    sigma_min or times its own support, counts as visited and adds no
     expansion; an open one of the second kind is still extended on its
-    core.
+    core. The child of a dead join (see ``_Walk``) is not formed and not
+    counted; under eps_min 0, and in ``run_naive``, no join is dead.
+    ``posting_ands`` counts the posting ANDs of mark scans and joins,
+    the live joins' alone.
     """
 
     sets_visited: int = 0
+    posting_ands: int = 0
     overflow_sets: list[tuple[int, ...]] = field(default_factory=list)
 
 
@@ -188,14 +208,50 @@ class MiningResult:
 
 def _bitset(vertices: tuple[int, ...]) -> int:
     """The int with bit v set for every vertex v of a sorted vertex tuple.
-    The walk makes one per frequent singleton's posting; every deeper
-    posting is an AND of these."""
+    The walk makes one per frequent singleton's posting, and every deeper
+    posting is an AND of these; ``_Universe.gate`` makes one per gate."""
     if not vertices:
         return 0
     buf = bytearray(vertices[-1] // 8 + 1)
     for v in vertices:
         buf[v >> 3] |= 1 << (v & 7)
     return int.from_bytes(buf, "little")
+
+
+class _Universe:
+    """The vertices a join's child can search, and vertex sets as gates over
+    them.
+
+    The universe is the sorted vertices held by at least two of the
+    singletons' member sets. A join's child searches only vertices in the
+    members of at least two singletons, so no other vertex is in a set a
+    join forms or in the overlap of two sets that a gate AND counts. A gate
+    is a vertex set's bitset over the universe, bit i for its i-th vertex:
+    exact for the vertices two sets share, and far narrower than a posting.
+    """
+
+    def __init__(self, member_sets: Sequence[Sequence[int]]):
+        seen: set[int] = set()
+        shared: set[int] = set()
+        for members in member_sets:
+            shared.update(seen.intersection(members))
+            seen.update(members)
+        self.vertices = sorted(shared)
+        self.position = {v: i for i, v in enumerate(self.vertices)}
+
+    def gate(self, vertices: Sequence[int]) -> int:
+        """The gate of a sorted vertex set; vertices outside the universe drop."""
+        position = self.position
+        return _bitset([position[v] for v in vertices if v in position])
+
+    def members(self, gate: int) -> tuple[int, ...]:
+        """The sorted vertices of a gate."""
+        vertices, out = self.vertices, []
+        while gate:
+            low = gate & -gate
+            out.append(vertices[low.bit_length() - 1])
+            gate ^= low
+        return tuple(out)
 
 
 def _null_model(g: AttributedGraph, cfg: MinerConfig) -> NullModel:
@@ -292,19 +348,26 @@ def _union_attrs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class _Walk:
     """One depth-first walk of the attribute-set lattice by equivalence class.
 
-    A class is the frequent singletons, or the children of one base. A
-    candidate is *closed* when no join with a sibling reaches sigma_min,
-    since it can then have no descendant in the walk. The class is not
-    marked in advance: ``closed()`` scans it when a policy asks, stops at
-    the first join reaching sigma_min, and remembers a proved-closed answer,
-    which later scans use to skip that sibling (its own scan ANDed the
+    A class is the frequent singletons, or the children of one base. A join
+    of two sets is *live* when the two vertex sets its child could search
+    share at least ``floor`` vertices (``run``), and only a live join gets
+    the full-width posting AND: the child's members lie in both sets, so a
+    dead join's child would be skipped at its policy's first test. The sets
+    are kept as gates over the run's ``_Universe``, and a gate AND counts
+    what two of them share. A candidate is *closed* when no live join with
+    a sibling reaches sigma_min, since it can then have no descendant that
+    the walk forms. The class is not marked in advance: ``closed()`` scans
+    it, on the candidates' members, when a policy asks, stops at the first
+    live join reaching sigma_min, and remembers a proved-closed answer,
+    which later scans use to skip that sibling (its own scan tested the
     pair). When max_set_size forbids the next level every candidate starts
-    closed. An extended entry joins the frontier unless it is proved closed;
-    its children are formed by ANDing it with each earlier frontier entry,
-    and no join is kept, so an unproved closed entry forms none.
-    Candidates and frontier entries are one node shape, the tuple (support,
-    attrs, mask, vertex set), and the frontier sorts as plain tuples, by
-    (support, attrs).
+    closed. An extended entry joins the frontier unless it is proved
+    closed; its children are formed by joining it with each earlier
+    frontier entry, on the sets the two visits returned, and no join is
+    kept, so an unproved closed entry forms none. A candidate is the tuple
+    (support, attrs, mask, members, gate of the members), a frontier entry
+    (support, attrs, mask, gate of the set its visit returned); the
+    frontier sorts as plain tuples, by (support, attrs).
 
     ``evaluate(attrs, mask, members, stats, closed)`` searches one set,
     adding its expansions to the run's ``stats``, and returns its coverage
@@ -347,60 +410,80 @@ class _Walk:
         g: AttributedGraph,
         index: AttributeIndex,
         first_pass: Callable[[list[tuple[int, ...]]], list[list[int]]] | None = None,
+        floor: int = 0,
     ) -> MiningResult:
         """Walk the class of frequent singletons, by ascending support. A
         singleton's members are its posting, or its entry in
-        ``first_pass(postings)`` when that is given."""
+        ``first_pass(postings)`` when that is given, and the universe is
+        built from the members. A join is live only when the two vertex
+        sets its child could search share at least ``floor`` vertices, so
+        ``evaluate`` must skip every set with fewer members at its first
+        test, as ``run_scpm``'s does below eps_min * sigma_min. With floor
+        0 every join is live and none is tested."""
         self.attributes = g.attribute_dictionary
         singles = frequent_attributes(index, self.cfg.sigma_min)
         singles.sort(key=lambda e: (len(e[1]), e[0]))
         postings = [p for _, p in singles]
         members = postings if first_pass is None else first_pass(postings)
+        self.floor = floor
+        self.universe = _Universe(members)
         self._walk_class(
-            [(len(p), a, _bitset(p), m) for (a, p), m in zip(singles, members)]
+            [
+                (len(p), a, _bitset(p), m, self.universe.gate(m))
+                for (a, p), m in zip(singles, members)
+            ]
         )
         return MiningResult(self.records, self.patterns, self.stats)
 
     def _walk_class(self, candidates):
         """Visit one class in order, then union each frontier entry with its
-        earlier siblings and walk the children whose posting AND reaches
-        sigma_min as the next class. A candidate's vertex set is the sorted
-        members its search runs on, a frontier entry's the frozenset of the
-        set its visit returned. Only a child forms its attribute set and
-        intersects its parents' sets for its members. No two entries share
-        (support, attrs), so the frontier's sort compares nothing else."""
+        earlier siblings and walk the children whose join is live and whose
+        posting AND reaches sigma_min as the next class. A child's gate is
+        the AND of its parents' gates, and only a child decodes it into the
+        sorted members its search runs on and forms its attribute set. No
+        two entries share (support, attrs), so the frontier's sort compares
+        nothing else."""
         if not candidates:
             return
-        sigma_min = self.cfg.sigma_min
+        sigma_min, floor, stats = self.cfg.sigma_min, self.floor, self.stats
         masks = [c[2] for c in candidates]
+        gates = [c[4] for c in candidates]
         # At the max_set_size cap every candidate starts closed.
         proved = [len(candidates[0][1]) >= (self.cfg.max_set_size or math.inf)] * len(masks)
 
         def closed(i):
             if not proved[i]:
-                mask = masks[i]
-                proved[i] = True  # until a join reaches sigma_min; the scan skips i
-                for other, done in zip(masks, proved):
-                    if not done and (mask & other).bit_count() >= sigma_min:
+                mask, gate = masks[i], gates[i]
+                proved[i] = True  # until a live join reaches sigma_min; the scan skips i
+                for other, other_gate, done in zip(masks, gates, proved):
+                    if done or floor and (gate & other_gate).bit_count() < floor:
+                        continue
+                    stats.posting_ands += 1
+                    if (mask & other).bit_count() >= sigma_min:
                         proved[i] = False
-                        return False
-            return True
+                        break
+            return proved[i]
 
         frontier = []
-        for i, (support, attrs, mask, members) in enumerate(candidates):
+        for i, (support, attrs, mask, members, _) in enumerate(candidates):
             covered = self._visit(attrs, support, mask, members, partial(closed, i))
             if covered is not None and not proved[i]:
-                frontier.append((support, attrs, mask, frozenset(covered)))
+                frontier.append((support, attrs, mask, self.universe.gate(covered)))
         frontier.sort()
-        for i, (_, attrs, mask, covered) in enumerate(frontier):
+        for i, (_, attrs, mask, gate) in enumerate(frontier):
             children = []
-            for _, other_attrs, other_mask, other_covered in frontier[:i]:
+            for _, other_attrs, other_mask, other_gate in frontier[:i]:
+                shared = gate & other_gate
+                if floor and shared.bit_count() < floor:
+                    continue
+                stats.posting_ands += 1
                 child = mask & other_mask
                 support = child.bit_count()
                 if support >= sigma_min:
                     # Each parent's set lies in its posting, so within child.
-                    members = tuple(sorted(covered & other_covered))
-                    children.append((support, _union_attrs(attrs, other_attrs), child, members))
+                    members = self.universe.members(shared)
+                    union = _union_attrs(attrs, other_attrs)
+                    children.append((support, union, child, members, shared))
             self._walk_class(children)
 
     def _visit(self, attrs, support, mask, members, closed) -> Sequence[int] | None:
@@ -441,10 +524,11 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
     a search: too small for eps_min * sigma_min, it is not extended; too
     small for eps_min times its own support, it is not recorded and is
     extended on its core, unless its members were already that small and
-    it is closed (it has no frequent join in its class), which skips it
-    unpeeled. A search that overflows, on the set's view or on a simulation
-    sample drawn to score it, drops that set unreported and unextended
-    unless fail_fast is set. A set that is not searched cannot overflow, so
+    it is closed (it has no live frequent join in its class), which skips
+    it unpeeled. A join whose sets share fewer vertices than eps_min *
+    sigma_min is dead and not formed (``_Walk``). A search that overflows,
+    on the set's view or on a simulation sample drawn to score it, drops
+    that set unreported and unextended unless fail_fast is set. A set that is not searched cannot overflow, so
     under a budget the exhaustive miner exceeds on such a set, this miner
     keeps the set's subtree; wherever nothing overflows the two emit the
     same records and patterns.
@@ -490,7 +574,11 @@ def run_scpm(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> Min
         return covered, prune_extension(covered, cfg, floor), patterns
 
     first_pass = partial(z_survivors, g.adjacency, z=cfg.qc_params.z)
-    return _Walk(cfg, null, evaluate).run(g, index, first_pass)
+    # The least member count that evaluate's first test lets through.
+    member_floor = bisect_left(
+        range(cfg.sigma_min + 1), True, key=lambda c: _can_reach_eps_min(c, cfg.sigma_min, cfg)
+    )
+    return _Walk(cfg, null, evaluate).run(g, index, first_pass, member_floor)
 
 
 def run_naive(g: AttributedGraph, index: AttributeIndex, cfg: MinerConfig) -> MiningResult:

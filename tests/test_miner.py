@@ -630,9 +630,12 @@ class TestMembersFromMasks:
         assert restricted > 0
 
     def test_children_are_restricted_without_decoding_bitsets(self, monkeypatch):
-        # The pruned walk intersects its parents' coverage sets as vertex
-        # sets: it decodes no posting and makes a bitset of the singletons'
-        # postings only. Its output still equals the exhaustive miner's.
+        # The pruned walk decodes no posting and makes a posting bitset of
+        # the singletons' postings only. Its other bitsets are gates: one of
+        # each singleton's members and one of each frontier entry's returned
+        # set, each made once, and a gate is decoded only into the members
+        # of a child that is formed. Its output still equals the exhaustive
+        # miner's, with eps_min 0 (every join live) and above.
         import scpm.miner
 
         def no_decode(mask):
@@ -640,22 +643,46 @@ class TestMembersFromMasks:
 
         rng = random.Random(1010)
         deep = 0
-        for _ in range(12):
+        for eps_min in (0.0, 0.5) * 12:
             g = random_attributed_graph(rng, 20, 0.5, 5, attr_prob=0.6)
             index = build_index(g)
-            cfg = reference_config(sigma_min=2, eps_min=0.0, k=1)
+            cfg = reference_config(sigma_min=2, eps_min=eps_min, k=1)
             naive = run_naive(g, index, cfg)
-            bitsets = []
+            bitsets, gated, decoded, evaluated, covered = [], [], [], [], {}
 
             def counting(vertices, bitset=scpm.miner._bitset):
                 bitsets.append(vertices)
                 return bitset(vertices)
 
+            class Recording(scpm.miner._Universe):
+                def gate(self, vertices):
+                    gated.append(vertices)
+                    return super().gate(vertices)
+
+                def members(self, gate):
+                    decoded.append(super().members(gate))
+                    return decoded[-1]
+
             with monkeypatch.context() as patch:
                 patch.setattr(scpm.miner, "_bits", no_decode)
                 patch.setattr(scpm.miner, "_bitset", counting)
+                patch.setattr(scpm.miner, "_Universe", Recording)
+                patch.setattr(scpm.miner, "_Walk", _recording_walk(evaluated, covered, patch))
                 pruned = run_scpm(g, index, cfg)
-            assert len(bitsets) == len(frequent_attributes(index, cfg.sigma_min))
+            postings = [p for _, p in frequent_attributes(index, cfg.sigma_min)]
+            singles = [members for _, _, members, parents in evaluated if parents is None]
+            children = [members for _, _, members, parents in evaluated if parents]
+            made = [b for b in bitsets if any(b is p for p in postings)]
+            assert len(made) == len(postings) == len(singles)
+            assert len(bitsets) == len(made) + len(gated)
+            assert [id(m) for m in gated[: len(singles)]] == [id(m) for m in singles]
+            # Each is a set a visit returned; only the empty tuple, one
+            # object, can be returned twice.
+            returned = {id(c) for c in covered.values()}
+            rest = [id(c) for c in gated[len(singles) :] if c != ()]
+            assert set(rest) <= returned and len(set(rest)) == len(rest)
+            assert len(gated) - len(singles) <= len(covered)
+            assert [id(m) for m in decoded] == [id(m) for m in children]
             assert pruned.records == naive.records
             assert pruned.patterns == naive.patterns
             deep += sum(len(r.attribute_set) >= 2 for r in pruned.records)
@@ -664,7 +691,7 @@ class TestMembersFromMasks:
 
 class TestPeelBeforeView:
     """The miner searches only the view of the members' z-core, and that
-    changes no record, pattern or visit count."""
+    changes no record or pattern."""
 
     @pytest.mark.parametrize("instance", ["example11", "planted2000"])
     def test_views_arrive_peeled(self, instance, request, monkeypatch):
@@ -693,7 +720,12 @@ class TestPeelBeforeView:
         assert len(peeled_views) >= searched
         assert peeled.records == whole.records
         assert peeled.patterns == whole.patterns
-        assert peeled.stats.sets_visited == whole.stats.sets_visited
+        # Each run gates its joins on the sets its own visits return. The
+        # unpeeled run searches the planted instance's noise sets that the
+        # peeled one extends on their cores, and returns their smaller
+        # coverage sets, so fewer of their frequent joins are live.
+        visits = {"example11": (4, 4), "planted2000": (852, 845)}[instance]
+        assert (peeled.stats.sets_visited, whole.stats.sets_visited) == visits
         assert peeled.stats.overflow_sets == whole.stats.overflow_sets
         assert whole.stats.expansions >= peeled.stats.expansions
 
@@ -848,18 +880,48 @@ class TestClosedSets:
         assert result.stats.sets_visited == naive.stats.sets_visited
 
     def test_set_in_the_gap_is_searched_neither_closed_nor_open(self, monkeypatch):
+        # Vertices 0-9 form a 10-clique. Tag s sits on 0-5 with the shared
+        # carriers and 6 carriers of its own, support 15; tag t on 0-9 with
+        # the shared carriers, support 13. At sigma_min 10 and eps_min 0.5
+        # the core of s, the 6-clique, reaches eps_min * sigma_min = 5 but
+        # not eps_min * 15 = 7.5, so its own eps cannot reach eps_min. With
+        # 3 shared carriers their join has support 9, so both are closed and
+        # s is skipped. One more shared carrier lifts the join to 10: s is
+        # open and extended on its core without a search, and the join,
+        # whose members are the 6-clique, is visited and qualifies.
+        clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
+        cfg = reference_config(sigma_min=10, eps_min=0.5)
+        core = tuple(range(6))
+        for opened in (False, True):
+            shared = range(20, 24 if opened else 23)
+
+            def tags(v):
+                return (["s"] if v < 6 or v in shared or v >= 30 else []) + (
+                    ["t"] if v < 10 or v in shared else []
+                )
+
+            g = _graph(clique(range(10)), tags, 36)
+            index = build_index(g)
+            with monkeypatch.context() as patch:
+                searched = self._searched_cores(patch)
+                result = run_scpm(g, index, cfg)
+            assert searched.count(core) == opened  # the join's search, never s's
+            assert _labels(g, result.records) == ["t", "s|t"][: 1 + opened]
+            assert result.stats.sets_visited == 2 + opened
+            self._assert_matches_naive(g, index, cfg, result)
+
+    def test_join_with_disjoint_members_leaves_a_gap_set_closed(self, monkeypatch):
         # Tag s sits on a 6-clique with 9 isolated carriers, support 15; tag
         # t on a 10-clique with the same 9 carriers, support 19. At
-        # sigma_min 10 and eps_min 0.5 the core of s reaches eps_min *
-        # sigma_min = 5 but not eps_min * 15 = 7.5, so its own eps cannot
-        # reach eps_min. Their join has support 9, so both are closed and s
-        # is skipped. One more carrier of both lifts the join to 10: s is
-        # open and extended on its core without a search, and the join is
-        # visited.
+        # sigma_min 10 and eps_min 0.5, s is in the gap as above. Their join
+        # has support 9, or 10 with one more carrier of both; either way its
+        # members, which lie in both cliques, number 0, below eps_min *
+        # sigma_min = 5. So the join is dead: it gets no posting AND, s
+        # counts as closed and is skipped, and the join, which the
+        # exhaustive miner visits and cannot record, is never formed.
         clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
         edges = clique(range(6)) + clique(range(20, 30))
         cfg = reference_config(sigma_min=10, eps_min=0.5)
-        core = tuple(range(6))
         for opened in (False, True):
             carriers = range(30, 40 if opened else 39)
 
@@ -873,10 +935,13 @@ class TestClosedSets:
             with monkeypatch.context() as patch:
                 searched = self._searched_cores(patch)
                 result = run_scpm(g, index, cfg)
-            assert core not in searched
+            naive = run_naive(g, index, cfg)
+            assert tuple(range(6)) not in searched
             assert _labels(g, result.records) == ["t"]
-            assert result.stats.sets_visited == 2 + opened
-            self._assert_matches_naive(g, index, cfg, result)
+            assert (result.records, result.patterns) == (naive.records, naive.patterns)
+            assert result.stats.sets_visited == 2
+            assert result.stats.posting_ands == 0
+            assert naive.stats.sets_visited == 2 + opened
 
     def test_open_set_in_the_gap_extends_to_a_qualifying_join(self, monkeypatch):
         # Tag s sits on a 6-clique and a 5-clique with 12 isolated carriers:
@@ -902,14 +967,41 @@ class TestClosedSets:
         self._assert_matches_naive(g, index, cfg, result)
 
     def test_open_set_with_an_uncovered_core_now_extends(self, monkeypatch):
-        # Tag s sits on a chordless 5-cycle with 6 isolated carriers: support
-        # 11. At gamma 3/5 and min_size 4 the cycle is a 2-core that holds
-        # no admissible set, so s covers nothing, yet its core of 5 reaches
-        # eps_min * sigma_min = 2.5 but not eps_min * 11 = 5.5. Tag t sits
-        # on a 5-clique and the cycle, so s|t has support 5 and s is open. A
-        # search of s would find an empty coverage set and stop there; the
-        # unsearched s is extended on its core, so its join is visited too
-        # and, with no vertex of t's coverage set, covers nothing.
+        # Tag s sits on a chordless 5-cycle 0-4 with 6 isolated carriers:
+        # support 11. At gamma 3/5 and min_size 4 the cycle is a 2-core that
+        # holds no admissible set, so s covers nothing, yet its core of 5
+        # reaches eps_min * sigma_min = 2.5 but not eps_min * 11 = 5.5. Tag
+        # t sits on the cycle and two adjacent hubs 20 and 21, each joined
+        # to 0, 1 and 2, so t covers 0, 1, 2 and the hubs; s|t has support
+        # 5 and s is open. A search of s would find an empty coverage set
+        # and stop there; the unsearched s is extended on its core, so its
+        # join is visited too. Its members, 0, 1 and 2, reach eps_min *
+        # sigma_min = 3, but they form a path whose core is empty, so the
+        # join covers nothing.
+        cycle = [(v, (v + 1) % 5) for v in range(5)]
+        hubs = [(20, 21)] + [(h, v) for h in (20, 21) for v in range(3)]
+        g = _graph(
+            cycle + hubs,
+            lambda v: ["s"] * (v < 11) + ["t"] * (v < 5 or v >= 20),
+            22,
+        )
+        index = build_index(g)
+        cfg = reference_config(sigma_min=5, eps_min=0.5)
+        searched = self._searched_cores(monkeypatch)
+        result = run_scpm(g, index, cfg)
+        assert tuple(range(5)) not in searched
+        assert _labels(g, result.records) == ["t"]
+        assert result.records[0].covered == (0, 1, 2, 20, 21)
+        assert result.stats.sets_visited == 3
+        self._assert_matches_naive(g, index, cfg, result)
+
+    def test_open_set_whose_join_misses_the_coverage_set_forms_no_child(self, monkeypatch):
+        # Tag s sits on the 5-cycle with 6 isolated carriers, as above; tag
+        # t on a 5-clique and the cycle, so s|t has support 5 and s is open
+        # and extended on its core. But t covers only the clique, so the
+        # join's members, the cycle within t's coverage set, are empty:
+        # below eps_min * sigma_min = 2.5, the join is dead and not formed,
+        # where the exhaustive miner visits it and records nothing.
         cycle = [(v, (v + 1) % 5) for v in range(5)]
         clique = [(u, v) for u in range(20, 25) for v in range(u + 1, 25)]
         g = _graph(
@@ -921,10 +1013,12 @@ class TestClosedSets:
         cfg = reference_config(sigma_min=5, eps_min=0.5)
         searched = self._searched_cores(monkeypatch)
         result = run_scpm(g, index, cfg)
+        naive = run_naive(g, index, cfg)
         assert tuple(range(5)) not in searched
         assert _labels(g, result.records) == ["t"]
-        assert result.stats.sets_visited == 3
-        self._assert_matches_naive(g, index, cfg, result)
+        assert (result.records, result.patterns) == (naive.records, naive.patterns)
+        assert result.stats.sets_visited == 2
+        assert naive.stats.sets_visited == 3
 
     @pytest.mark.parametrize("kind", [ANALYTICAL, SIMULATION])
     def test_every_searched_core_can_reach_eps_min_for_its_own_support(
@@ -1088,6 +1182,70 @@ class TestClosedSets:
         assert searched == []
         assert result.stats.sets_visited == 1
         self._assert_matches_naive(g, index, cfg, result)
+
+
+class TestJoinGate:
+    """run_scpm makes a join's posting AND only when the two sets its child
+    could search share at least the floor, the least count c with c /
+    sigma_min >= eps_min: a child with fewer members would be skipped at its
+    first test. The exhaustive miner gates nothing."""
+
+    @pytest.mark.parametrize("short", [False, True])
+    @pytest.mark.parametrize(("sigma_min", "floor"), [(10, 5), (25, 7)])
+    def test_join_at_the_floor_is_formed_one_below_is_not(self, sigma_min, floor, short):
+        # Tag a sits on a clique of 0..floor+1 and tag b on a clique of
+        # 2..floor+3, so their members and coverage sets share floor
+        # vertices; with b's clique one vertex shorter at the low end they
+        # share floor - 1. Isolated carriers of both give the join support
+        # sigma_min, and sigma_min more carriers of a alone put a in the gap,
+        # so a asks its mark and the scan tests the join before the frontier
+        # does. At eps_min = floor / sigma_min, computed as eps is, the
+        # join's eps is exactly eps_min and it is recorded; one member short
+        # it is dead in both, a is skipped as closed and the join is not
+        # formed, where the exhaustive miner visits it and records nothing.
+        clique = lambda vs: [(u, v) for u in vs for v in vs if u < v]  # noqa: E731
+        a_clique, b_clique = range(floor + 2), range(2 + short, floor + 4)
+        shared = len(set(a_clique) & set(b_clique))
+        carriers = range(floor + 4, floor + 4 + sigma_min - shared)
+        own = range(carriers[-1] + 1, carriers[-1] + 1 + sigma_min)
+
+        def tags(v):
+            in_a = v in a_clique or v in carriers or v in own
+            return ["a"] * in_a + ["b"] * (v in b_clique or v in carriers)
+
+        g = _graph(clique(a_clique) + clique(b_clique), tags, own[-1] + 1)
+        index = build_index(g)
+        cfg = reference_config(sigma_min=sigma_min, eps_min=floor / sigma_min)
+        result = run_scpm(g, index, cfg)
+        naive = run_naive(g, index, cfg)
+        assert (result.records, result.patterns) == (naive.records, naive.patterns)
+        assert ("a|b" in _labels(g, result.records)) is not short
+        assert naive.stats.sets_visited == 3
+        assert result.stats.sets_visited == 3 - short
+        if not short:
+            assert result.records[-1].eps == cfg.eps_min
+
+    @pytest.mark.parametrize(
+        ("instance", "naive_visits"), [("example11", 5), ("planted2000", 1295)]
+    )
+    def test_gate_cuts_posting_ands_and_leaves_the_exhaustive_walk(
+        self, instance, naive_visits, request
+    ):
+        # At the criterion-7 config the planted instance's 70 frequent
+        # singletons make 2,415 pairs. The pruned walk makes fewer
+        # full-width posting ANDs than that in all; the exhaustive walk
+        # visits every frequent set it visited before the gate.
+        g, index, cfg = _instance(request, instance)
+        pruned = run_scpm(g, index, cfg)
+        naive = run_naive(g, index, cfg)
+        singles = len(frequent_attributes(index, cfg.sigma_min))
+        assert naive.stats.sets_visited == naive_visits
+        assert pruned.stats.sets_visited <= naive_visits
+        assert pruned.stats.posting_ands <= naive.stats.posting_ands
+        if instance == "planted2000":
+            assert pruned.stats.posting_ands < singles * (singles - 1) // 2
+        by_set = lambda r: r.attribute_set  # noqa: E731
+        assert sorted(pruned.records, key=by_set) == sorted(naive.records, key=by_set)
 
 
 def _eager_walk(seen):
